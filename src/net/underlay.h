@@ -121,7 +121,12 @@ struct GeometricUnderlayConfig {
 /// \brief Waxman router graph with distance-proportional latencies.
 ///
 /// Build via GeometricUnderlay::Build. Router-level all-pairs shortest paths
-/// are precomputed, so RttMs is O(1).
+/// are precomputed, so RttMs is O(1). The build runs one Dijkstra per source
+/// over a CSR (compressed sparse row) copy of the router graph with an
+/// indexed 4-ary heap. Edge lengths are non-negative and rounded addition is
+/// monotone, so every entry is the minimum over all paths of the same
+/// source-outward rounded sums: the matrix is fixed bit for bit by the graph,
+/// whatever the heap or adjacency order.
 class GeometricUnderlay final : public Underlay {
  public:
   /// Constructs the underlay. Fails with InvalidArgument on nonsensical

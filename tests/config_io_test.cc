@@ -111,14 +111,21 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   EXPECT_EQ(c.scheduler.event_reserve_hint, 4096u);
 }
 
-TEST(ConfigIoTest, DeprecatedFlatSchedulerKeysStillParse) {
-  // Pre-SchedulerConfig configs used flat keys; they must keep working (with
-  // a stderr warning) so existing config files and --set scripts survive.
+TEST(ConfigIoTest, FlatSchedulerKeysNoLongerParse) {
+  // The pre-SchedulerConfig flat spellings are gone: each is an unknown key
+  // like any typo, so it cannot silently set a scheduler.* field.
+  for (const char* line : {"shards = 4\n", "workers = 2\n", "work_stealing = false\n",
+                           "event_reserve_hint = 512\n"}) {
+    auto parsed = ParseConfig(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_NE(parsed.status().message().find("unknown key"), std::string::npos) << line;
+  }
+  // The scheduler.* spellings set the same fields.
   auto parsed = ParseConfig(
-      "shards = 4\n"
-      "workers = 2\n"
-      "work_stealing = false\n"
-      "event_reserve_hint = 512\n");
+      "scheduler.shards = 4\n"
+      "scheduler.workers = 2\n"
+      "scheduler.work_stealing = false\n"
+      "scheduler.event_reserve_hint = 512\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const ExperimentConfig& c = parsed.ValueOrDie();
   EXPECT_EQ(c.scheduler.shards, 4u);

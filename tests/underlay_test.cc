@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace locaware::net {
@@ -297,6 +300,41 @@ TEST(UniformUnderlayTest, RejectsBadConfig) {
   cfg.min_rtt_ms = 100;
   cfg.max_rtt_ms = 100;
   EXPECT_FALSE(UniformUnderlay::Build(cfg, &rng).ok());
+}
+
+// --- router matrix pinned bit for bit ---
+
+/// FNV-1a over the raw bytes of the full router latency matrix, row-major.
+uint64_t RouterMatrixDigest(const GeometricUnderlayConfig& cfg) {
+  Rng rng = Rng(42).Split("underlay");
+  auto u = std::move(GeometricUnderlay::Build(cfg, &rng)).ValueOrDie();
+  std::vector<double> matrix;
+  matrix.reserve(u->num_routers() * u->num_routers());
+  for (RouterId a = 0; a < u->num_routers(); ++a) {
+    for (RouterId b = 0; b < u->num_routers(); ++b) {
+      matrix.push_back(u->RouterLatencyMs(a, b));
+    }
+  }
+  return Fnv1a64(matrix.data(), matrix.size() * sizeof(double));
+}
+
+/// The digests were taken from the lazy binary-heap Dijkstra over
+/// vector-of-vectors adjacency that predates the CSR kernel. Any exact
+/// label-setting shortest-path kernel must reproduce them: a changed digest
+/// means the router matrix, and with it every latency in every run, moved.
+TEST(GeometricUnderlayTest, RouterMatrixBitsArePinned) {
+  GeometricUnderlayConfig waxman200;
+  waxman200.num_routers = 200;
+  EXPECT_EQ(RouterMatrixDigest(waxman200), 0x27b68fb395726c15ULL);
+
+  GeometricUnderlayConfig waxman1000;
+  waxman1000.num_routers = 1000;
+  EXPECT_EQ(RouterMatrixDigest(waxman1000), 0x5d3562330f5df2afULL);
+
+  GeometricUnderlayConfig ba200;
+  ba200.num_routers = 200;
+  ba200.model = RouterGraphModel::kBarabasiAlbert;
+  EXPECT_EQ(RouterMatrixDigest(ba200), 0x023bf19c1ef40ee4ULL);
 }
 
 class UnderlayScaleTest : public ::testing::TestWithParam<size_t> {};
