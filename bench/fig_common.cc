@@ -27,8 +27,6 @@ FigOptions ParseArgs(int argc, char** argv) {
       options.shards = static_cast<uint32_t>(std::strtoul(arg + 9, nullptr, 10));
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
       options.workers = static_cast<uint32_t>(std::strtoul(arg + 10, nullptr, 10));
-    } else if (std::strncmp(arg, "--steal=", 8) == 0) {
-      options.steal = std::strtoul(arg + 8, nullptr, 10) != 0;
     } else if (std::strncmp(arg, "--placement=", 12) == 0) {
       auto parsed = core::ParsePlacementStrategy(arg + 12);
       if (!parsed.ok()) {
@@ -48,7 +46,7 @@ FigOptions ParseArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown argument '%s'\n"
                    "usage: %s [--queries=N] [--seed=S] [--buckets=B] [--shards=K] "
-                   "[--workers=W] [--steal=0|1] [--placement=modulo|clustered] "
+                   "[--workers=W] [--placement=modulo|clustered] "
                    "[--peers=N] [--trace=PATH] [--svg=PATH] [--json=PATH]\n",
                    arg, argv[0]);
       std::exit(2);
@@ -86,7 +84,6 @@ std::vector<core::ExperimentResult> RunAllProtocols(
           core::MakePaperConfig(kind, options.num_queries, options.seed);
       config.scheduler.shards = options.shards;
       config.scheduler.workers = options.workers;
-      config.scheduler.work_stealing = options.steal;
       config.scheduler.placement = options.placement;
       if (options.peers != 0) {
         config.num_peers = options.peers;

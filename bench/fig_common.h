@@ -24,9 +24,6 @@ struct FigOptions {
   /// Worker threads per experiment (SchedulerConfig::workers; 0 = one per
   /// shard). Wall-clock only, like shards.
   uint32_t workers = 0;
-  /// Intra-window work stealing (SchedulerConfig::work_stealing). Results
-  /// are byte-identical on or off; the gate runs both.
-  bool steal = true;
   /// Peer → shard placement strategy (SchedulerConfig::placement). Like the
   /// rest of the scheduler block it never changes results — the gate diffs
   /// --placement=clustered JSON against the modulo baseline byte-for-byte.

@@ -15,10 +15,9 @@
 //    global-min bound forces ~2 ms ones: compare the `windows` counter (and
 //    events/s) between the /matrix:0 and /matrix:1 rows.
 //  * BM_ShardedSimulatorSkewedStorm — half the load lands on shard 0, eight
-//    shards over two workers. With stealing off, shard 0's home worker also
-//    owns three light shards while the other worker parks at the barrier;
-//    with stealing on the idle worker takes those shards over. Compare
-//    `idle_ns/window` (and steals/window) between /steal:0 and /steal:1.
+//    shards over two workers. Shard 0's home worker also owns three light
+//    shards; the other worker steals them once its own block drains. Read
+//    `idle_ns/window` (the barrier wait stealing leaves) and `steals/window`.
 //  * BM_EngineSharded/shards:8 — the same comparison end-to-end: the
 //    /clustered:1 row swaps the modulo peer → shard map for the
 //    locality-clustered ShardPlacement; compare `windows`, `events/s` and
@@ -30,10 +29,11 @@
 //
 // Million-peer data plane rows:
 //  * BM_EngineScale — the full engine at 100k peers (1000-router underlay,
-//    shard-local arenas, pre-reserved event queues), reporting events/s and
-//    rss_kb/peer (VmRSS delta across Create+Run). Set LOCAWARE_BENCH_1M=1 to
-//    also register the 1,000,000-peer row (minutes of wall clock — local
-//    runs only, never CI).
+//    shard-local arenas, pre-reserved event queues) at 1 and 4 shards,
+//    reporting events/s, run_ms (Run() alone — the /shards:1 vs /shards:4
+//    ratio is the sharding speedup) and rss_kb/peer (VmRSS delta across
+//    Create+Run). Set LOCAWARE_BENCH_1M=1 to also register the
+//    1,000,000-peer row (minutes of wall clock — local runs only, never CI).
 //  * BM_TraceLoad — text vs binary trace parsing over the same 200k-query
 //    workload; the `speedup` counter is the headline binary-format number.
 #include <benchmark/benchmark.h>
@@ -191,14 +191,11 @@ BENCHMARK(BM_ShardedSimulatorClusteredLocality)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Skewed fleet: 8 shards, 2 workers, half the sources hash to shard 0. The
-// steal:0 row statically binds home blocks (worker 0 owns the hot shard plus
-// three light ones); the steal:1 row lets the other worker take the light
-// shards over once its own block drains. Event order — and therefore every
-// simulation result — is identical in both rows; only `idle_ns/window` and
-// `steals/window` move.
+// Skewed fleet: 8 shards, 2 workers, half the sources hash to shard 0.
+// Worker 0's home block holds the hot shard plus three light ones; worker 1
+// steals the light shards once its own block drains. `idle_ns/window` is the
+// barrier wait that remains, `steals/window` the relocated shard windows.
 void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
-  const bool steal = state.range(0) != 0;
   constexpr uint32_t kShards = 8;
   constexpr uint32_t kWorkers = 2;
   constexpr uint32_t kSources = 4096;
@@ -215,7 +212,6 @@ void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
     sim::ShardedSimulatorConfig cfg;
     cfg.num_shards = kShards;
     cfg.num_workers = kWorkers;
-    cfg.work_stealing = steal;
     cfg.lookahead = kLook;
     cfg.num_sources = kSources;
     sim::ShardedSimulator sim(cfg);
@@ -245,12 +241,7 @@ void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
       windows == 0 ? 0.0
                    : static_cast<double>(idle_ns) / static_cast<double>(windows);
 }
-BENCHMARK(BM_ShardedSimulatorSkewedStorm)
-    ->ArgName("steal")
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
+BENCHMARK(BM_ShardedSimulatorSkewedStorm)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // The /clustered:1 rows swap the peer → shard map from the modulo partition
 // to the locality-clustered placement over the same geometric underlay — the
@@ -332,14 +323,18 @@ BENCHMARK(BM_EngineSharded)
 // The million-peer data plane target: full Dicas engine at scale. Routers
 // grow with the swarm (~1 per 25 peers) up to the 1000 cap that bounds the
 // all-pairs underlay precompute; catalog and query volume scale linearly so
-// per-peer load matches the 10k scenario. Counters:
-//  * events/s  — end-to-end simulator throughput, the headline number.
+// per-peer load matches the 10k scenario. The shards:1 row is the sequential
+// loop, the shards:4 row one worker per core on a 4-core host. Counters:
+//  * events/s  — end-to-end simulator throughput (Create + Run).
+//  * run_ms — wall clock of Run() alone per iteration; Create is identical
+//    across the rows, so the run_ms ratio is what sharding buys.
 //  * rss_kb/peer — VmRSS growth across Create+Run divided by peers (max
 //    over iterations: the first iteration faults the pages, later ones reuse
 //    the allocator's retained heap, so max == per-scenario peak).
 //  * msgs — determinism probe, identical for any shard/worker split.
 void BM_EngineScale(benchmark::State& state) {
   const size_t peers = static_cast<size_t>(state.range(0));
+  const uint32_t shards = static_cast<uint32_t>(state.range(1));
   core::ExperimentConfig cfg =
       core::MakePaperConfig(core::ProtocolKind::kDicas,
                             /*num_queries=*/peers / 20, /*seed=*/42);
@@ -350,16 +345,21 @@ void BM_EngineScale(benchmark::State& state) {
   // files ratio, 1M runs at 1 keyword per file's worth of pool instead.
   cfg.catalog.keyword_pool_size = std::min<size_t>(1000000, 3 * peers);
   cfg.workload.query_rate_per_peer_s = 0.02;
-  cfg.scheduler.shards = 8;
+  cfg.scheduler.shards = shards;
   uint64_t events = 0;
   uint64_t msgs = 0;
   uint64_t rss_delta = 0;
   uint64_t run_allocs = 0;
+  double run_ns = 0;
   for (auto _ : state) {
     const uint64_t rss_before = CurrentRssBytes();
     auto engine = std::move(core::Engine::Create(cfg)).ValueOrDie();
     const uint64_t allocs_before = g_alloc_count.load();
+    const auto run_start = std::chrono::steady_clock::now();
     engine->Run();
+    run_ns += std::chrono::duration<double, std::nano>(
+                  std::chrono::steady_clock::now() - run_start)
+                  .count();
     run_allocs += g_alloc_count.load() - allocs_before;
     const uint64_t rss_after = CurrentRssBytes();
     if (rss_after > rss_before) {
@@ -374,13 +374,16 @@ void BM_EngineScale(benchmark::State& state) {
   state.counters["allocs/event"] =
       events == 0 ? 0.0
                   : static_cast<double>(run_allocs) / static_cast<double>(events);
+  state.counters["run_ms"] =
+      benchmark::Counter(run_ns / 1e6, benchmark::Counter::kAvgIterations);
   state.counters["rss_kb/peer"] =
       static_cast<double>(rss_delta) / 1024.0 / static_cast<double>(peers);
   state.counters["msgs"] = static_cast<double>(msgs);
 }
 BENCHMARK(BM_EngineScale)
-    ->ArgName("peers")
-    ->Arg(100000)
+    ->ArgNames({"peers", "shards"})
+    ->Args({100000, 1})
+    ->Args({100000, 4})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -390,8 +393,8 @@ BENCHMARK(BM_EngineScale)
 [[maybe_unused]] const bool kRegistered1M = [] {
   if (std::getenv("LOCAWARE_BENCH_1M") == nullptr) return false;
   benchmark::RegisterBenchmark("BM_EngineScale", BM_EngineScale)
-      ->ArgName("peers")
-      ->Arg(1000000)
+      ->ArgNames({"peers", "shards"})
+      ->Args({1000000, 4})
       ->Unit(benchmark::kMillisecond)
       ->UseRealTime()
       ->Iterations(1);

@@ -111,8 +111,6 @@ std::string FormatConfig(const ExperimentConfig& c) {
   out << "\n# parallel scheduler (wall-clock only: results never depend on it)\n";
   out << "scheduler.shards = " << c.scheduler.shards << "\n";
   out << "scheduler.workers = " << c.scheduler.workers << "\n";
-  out << "scheduler.work_stealing = "
-      << (c.scheduler.work_stealing ? "true" : "false") << "\n";
   out << "scheduler.placement = "
       << sim::PlacementStrategyName(c.scheduler.placement) << "\n";
   if (c.scheduler.event_reserve_hint != 0) {
@@ -218,8 +216,6 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
       LOCAWARE_ASSIGN(u64, c.scheduler.shards, uint32_t)
     } else if (kv.key == "scheduler.workers") {
       LOCAWARE_ASSIGN(u64, c.scheduler.workers, uint32_t)
-    } else if (kv.key == "scheduler.work_stealing") {
-      LOCAWARE_ASSIGN(b, c.scheduler.work_stealing, bool)
     } else if (kv.key == "scheduler.placement") {
       auto v = ParsePlacementStrategy(kv.value);
       if (!v.ok()) return v.status();

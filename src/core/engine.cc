@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/hash.h"
-#include "common/logging.h"
 #include "core/provider_selection.h"
 #include "net/landmark.h"
 
@@ -143,7 +142,6 @@ Status Engine::Setup() {
   sim_cfg.num_shards = num_shards_;
   sim_cfg.num_workers = config_.scheduler.workers;
   sim_cfg.lookahead = lookahead;
-  sim_cfg.work_stealing = config_.scheduler.work_stealing;
   if (num_shards_ > 1) {
     sim_cfg.lookahead_matrix = BuildLookaheadMatrix(lookahead);
   }

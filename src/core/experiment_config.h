@@ -17,13 +17,15 @@ namespace locaware::core {
 
 /// How the parallel scheduler decomposes and drives the run. One contract
 /// covers the whole block: every knob here is wall-clock-only — any shard
-/// count, worker count, stealing mode, placement strategy, or reserve hint
-/// produces byte-identical metrics for the same seed (the determinism
+/// count, worker count, placement strategy, or reserve hint produces
+/// byte-identical metrics for the same seed (the determinism
 /// contract CI enforces). Peers are partitioned across `shards` simulation
 /// shards by a placement-defined partition (sim::ShardPlacement, built once
 /// at Engine::Create); each shard owns its peers' events and synchronizes
 /// with the others through conservative windows bounded by a per-shard-pair
-/// lookahead matrix derived from the underlay's locality structure. Composes
+/// lookahead matrix derived from the underlay's locality structure. Idle
+/// workers always steal whole remaining shard sub-queues inside a window
+/// (stealing moves which thread runs a shard, never event order). Composes
 /// with churn: lifecycle transitions run as owner-shard events and overlay
 /// repair travels as LinkDrop/LinkProbe/LinkAccept messages.
 struct SchedulerConfig {
@@ -35,11 +37,6 @@ struct SchedulerConfig {
   /// than shards over-decomposes the run so work stealing can absorb skewed
   /// shards.
   uint32_t workers = 0;
-
-  /// Allow idle workers to steal whole remaining shard sub-queues inside a
-  /// window (stealing moves which thread runs a shard, never event order);
-  /// off pins every shard to its static home worker.
-  bool work_stealing = true;
 
   /// Peer → shard mapping strategy. kModulo is the historical p % shards;
   /// kClustered groups peers by underlay location (weighted by the
@@ -65,8 +62,8 @@ struct ExperimentConfig {
   size_t files_per_peer = 3;     ///< paper: 3 initial shared files
   size_t num_landmarks = 4;      ///< paper: 4 landmarks → 24 locIds
 
-  /// Parallel-scheduler decomposition (shards, workers, stealing, placement,
-  /// reserve hint). See SchedulerConfig for the shared determinism contract.
+  /// Parallel-scheduler decomposition (shards, workers, placement, reserve
+  /// hint). See SchedulerConfig for the shared determinism contract.
   SchedulerConfig scheduler;
 
   /// Use the geometry-free control underlay (locality ablation) instead of

@@ -239,11 +239,6 @@ void LocawareProtocol::OnLinkUp(Engine& engine, PeerId a, PeerId b) {
   engine.ChargeMaintenance(2, 2 * filter_bytes);
 }
 
-void LocawareProtocol::OnLinkDown(Engine& engine, PeerId a, PeerId b) {
-  engine.node(a).neighbor_filters.erase(b);
-  engine.node(b).neighbor_filters.erase(a);
-}
-
 void LocawareProtocol::OnNeighborUp(Engine& engine, PeerId node,
                                     const overlay::LinkAnnounce& peer) {
   NodeState& state = engine.node(node);

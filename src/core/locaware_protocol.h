@@ -44,7 +44,6 @@ class LocawareProtocol : public Protocol {
                      const overlay::BloomUpdateMessage& update) override;
   /// New neighbors exchange their full advertised filters (and Gids).
   void OnLinkUp(Engine& engine, PeerId a, PeerId b) override;
-  void OnLinkDown(Engine& engine, PeerId a, PeerId b) override;
   /// Message-routed link handshake: install the announced filter and Gid.
   void OnNeighborUp(Engine& engine, PeerId node,
                     const overlay::LinkAnnounce& peer) override;

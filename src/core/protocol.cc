@@ -90,8 +90,6 @@ void Protocol::OnBloomUpdate(Engine& /*engine*/, PeerId /*node*/,
 
 void Protocol::OnLinkUp(Engine& /*engine*/, PeerId /*a*/, PeerId /*b*/) {}
 
-void Protocol::OnLinkDown(Engine& /*engine*/, PeerId /*a*/, PeerId /*b*/) {}
-
 void Protocol::OnNeighborUp(Engine& /*engine*/, PeerId /*node*/,
                             const overlay::LinkAnnounce& /*peer*/) {}
 

@@ -77,12 +77,11 @@ class Protocol {
   virtual void OnBloomUpdate(Engine& engine, PeerId node,
                              const overlay::BloomUpdateMessage& update);
 
-  /// A link appeared / disappeared (static setup path). Touches both
-  /// endpoints at once, so it is only legal outside partitioned churn runs;
-  /// the message-routed churn path uses OnNeighborUp/OnPeerDeparted instead.
-  /// Locaware exchanges full filters and Gids on new links.
+  /// A link appeared (static setup path). Touches both endpoints at once, so
+  /// it is only legal outside partitioned churn runs; the message-routed
+  /// churn path uses OnNeighborUp/OnPeerDeparted instead. Locaware exchanges
+  /// full filters and Gids on new links.
   virtual void OnLinkUp(Engine& engine, PeerId a, PeerId b);
-  virtual void OnLinkDown(Engine& engine, PeerId a, PeerId b);
 
   /// One endpoint of a repaired link learned of its new neighbor through a
   /// LinkProbe/LinkAccept message (executing on `node`'s shard). `peer` is

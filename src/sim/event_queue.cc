@@ -41,10 +41,6 @@ uint32_t EventQueue::AcquireSlot(EventFn fn) {
   return slot;
 }
 
-void EventQueue::Push(SimTime at, EventFn fn) {
-  PushKeyed(at, /*src=*/0, next_seq_++, std::move(fn));
-}
-
 void EventQueue::PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn fn) {
   Entry entry{at, src, AcquireSlot(std::move(fn)), seq};
   ++pushed_;

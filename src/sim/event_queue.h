@@ -33,19 +33,17 @@ static_assert(std::is_nothrow_move_constructible_v<EventFn> &&
               "machinery; EventFn moves must not throw");
 
 /// Logical source of an event, used for shard-count-invariant tie-breaking.
-/// The sharded engine maps source 0 to "the controller" and source p + 1 to
-/// peer p; the single-threaded Simulator schedules everything as source 0.
+/// The engine maps source 0 to "the controller" and source p + 1 to peer p.
 using SourceId = uint32_t;
 
 /// \brief Min-heap of (time, source, sequence) ordered events.
 ///
 /// Events scheduled for the same instant fire in (source, per-source
-/// sequence) order. For the classic single-source Simulator this degenerates
-/// to scheduling order (FIFO via a monotonically increasing sequence number).
-/// For the sharded engine the key is assigned at creation from the *logical*
-/// source (the peer whose event handler scheduled it), which makes the tie
-/// order a property of the simulation rather than of thread interleaving —
-/// the root of the "--shards=K never changes results" contract.
+/// sequence) order. The caller assigns the key at creation from the
+/// *logical* source (the peer whose event handler scheduled it), which makes
+/// the tie order a property of the simulation rather than of thread
+/// interleaving — the root of the "--shards=K never changes results"
+/// contract.
 ///
 /// The heap is hand-rolled over a std::vector rather than std::priority_queue:
 /// priority_queue's const top() forces a const_cast to move the callback out,
@@ -56,17 +54,13 @@ using SourceId = uint32_t;
 /// keys, while the fat EventFn payloads sit in a slab indexed by `slot` and
 /// recycled through a free list. A sift therefore moves small keys — not
 /// kEventInlineBytes-sized closures — and a payload is written exactly once
-/// at Push and moved out exactly once at Pop. Both sides are plain vectors,
-/// so after Reserve the steady state never touches the allocator.
+/// at PushKeyed and moved out exactly once at Pop. Both sides are plain
+/// vectors, so after Reserve the steady state never touches the allocator.
 class EventQueue {
  public:
-  /// Enqueues `fn` to fire at absolute time `at`, as source 0 with the next
-  /// internal sequence number (the single-threaded Simulator's path).
-  void Push(SimTime at, EventFn fn);
-
-  /// Enqueues `fn` with an explicit (source, sequence) tie-break key. The
-  /// caller owns sequence assignment (the sharded engine keeps one counter
-  /// per source); mixing with the keyless Push in one queue is unsupported.
+  /// Enqueues `fn` to fire at absolute time `at` with an explicit (source,
+  /// sequence) tie-break key. The caller owns sequence assignment (the
+  /// sharded engine keeps one counter per source).
   void PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn fn);
 
   /// Pre-allocates capacity for `expected_events` queued entries.
@@ -122,7 +116,6 @@ class EventQueue {
   std::vector<Entry> heap_;          ///< binary min-heap, root at index 0
   std::vector<EventFn> slots_;       ///< payload slab, indexed by Entry::slot
   std::vector<uint32_t> free_slots_; ///< recycled slab indexes (LIFO)
-  uint64_t next_seq_ = 0;            ///< sequence source for the keyless Push
   uint64_t pushed_ = 0;
 };
 

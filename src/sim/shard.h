@@ -4,11 +4,11 @@
 //
 // Sharding model (see sharded_simulator.h for the full contract): peers are
 // partitioned across K shards, each with its own event queue, executed by a
-// pool of W <= K workers that claim shards per window (home block first,
-// then work stealing). Shards only exchange events through per-(src-shard,
-// dst-shard) mailboxes that are flushed at window barriers, so the hot path
-// between barriers is lock-free — the claim flags and stat counters are the
-// only shared atomics.
+// pool of W <= K workers that claim shards per window — home block first,
+// then any shard still unclaimed (work stealing). Shards only exchange events
+// through per-(src-shard, dst-shard) mailboxes that are flushed at window
+// barriers, so the hot path between barriers is lock-free — the claim flags
+// and stat counters are the only shared atomics.
 #pragma once
 
 #include <condition_variable>

@@ -22,7 +22,7 @@
 //
 // Placement is a pure scheduling knob: event keys and decision randomness are
 // peer-keyed, so a run's metrics are byte-identical for every placement (and
-// every shard/worker/stealing setting) — only the window schedule, and with
+// every shard/worker setting) — only the window schedule, and with
 // it wall-clock, changes. The placement is immutable for the whole run and
 // stable under churn: a peer that departs and rejoins keeps its shard.
 #pragma once

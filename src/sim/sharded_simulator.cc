@@ -30,13 +30,11 @@ ShardedSimulator::ShardedSimulator(const ShardedSimulatorConfig& config)
       num_workers_(config.num_workers == 0
                        ? config.num_shards
                        : std::min(config.num_workers, config.num_shards)),
-      work_stealing_(config.work_stealing),
       barrier_(num_workers_),
       local_min_(config.num_shards, kNoHorizon),
       earliest_(config.num_shards, kNoHorizon),
       window_ends_(config.num_shards, 0),
-      executed_at_window_start_(config.num_shards, 0),
-      occupancy_(config.num_shards + 1, 0) {
+      executed_at_window_start_(config.num_shards, 0) {
   LOCAWARE_CHECK_GT(config.num_shards, 0u);
   LOCAWARE_CHECK_GT(config.num_sources, 0u);
   LOCAWARE_CHECK_GT(num_workers_, 0u);
@@ -131,7 +129,6 @@ SchedulerStats ShardedSimulator::stats() const {
   stats.windows = windows_;
   stats.steals = steals_.load(std::memory_order_relaxed);
   stats.idle_ns = idle_ns_.load(std::memory_order_relaxed);
-  stats.occupancy = occupancy_;
   return stats;
 }
 
@@ -181,7 +178,6 @@ ShardId ShardedSimulator::ClaimShard(uint32_t worker, std::atomic<uint8_t>* clai
   for (ShardId s = worker; s < k; s += num_workers_) {
     if (try_claim(s)) return s;
   }
-  if (!work_stealing_) return kNoShard;
   for (ShardId s = 0; s < k; ++s) {
     if (s % num_workers_ == worker) continue;  // home block already scanned
     if (try_claim(s)) return s;
@@ -256,12 +252,9 @@ void ShardedSimulator::BeginWindow(SimTime horizon) {
 }
 
 void ShardedSimulator::EndWindow() {
-  uint32_t busy = 0;
   for (ShardId s = 0; s < shards_.size(); ++s) {
-    if (shards_[s].executed > executed_at_window_start_[s]) ++busy;
     drain_claims_[s].store(0, std::memory_order_relaxed);
   }
-  ++occupancy_[busy];
 }
 
 void ShardedSimulator::WorkerLoop(uint32_t worker, SimTime horizon) {

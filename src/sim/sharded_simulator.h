@@ -1,5 +1,11 @@
-// Sharded parallel discrete-event engine — the multi-core substitute for the
-// single-threaded Simulator.
+// Discrete-event simulation engine — the PeerSim substitute, sharded for
+// multiple cores.
+//
+// The paper evaluates Locaware on PeerSim's event-driven framework, which
+// models per-link latencies but neither bandwidth nor CPU (paper §5.1). This
+// engine reproduces exactly that model — an event loop over time-ordered
+// queues — and is the only engine there is: at one shard it is a plain
+// sequential loop on the caller's thread.
 //
 // Peers (event destinations) are partitioned across K shards; a pool of W
 // worker threads (W <= K, default W = K) executes them under a
@@ -22,15 +28,16 @@
 //    longer throttles the whole fleet. A scalar lookahead is the uniform
 //    matrix, and the single-shard case runs inline with no windows at all.
 //
-//  * Deterministic intra-window work stealing. Within a window each shard's
-//    runnable prefix (its events strictly before end[d]) is one sequential
-//    task; workers claim tasks atomically, own-shard-block first, then steal
-//    whole remaining shard sub-queues. A stolen shard's events still execute
-//    one at a time in (time, source, seq) order against that shard's own
-//    state — stealing moves *which thread* runs a shard, never the order or
-//    the ownership — so results are byte-identical with stealing on or off.
-//    Over-decomposition (K > W) is what gives the thief something to take:
-//    a skewed shard keeps one worker busy while the others drain the rest.
+//  * Deterministic intra-window work stealing, always on. Within a window
+//    each shard's runnable prefix (its events strictly before end[d]) is one
+//    sequential task; workers claim tasks atomically, own-shard-block first,
+//    then steal whole remaining shard sub-queues. A stolen shard's events
+//    still execute one at a time in (time, source, seq) order against that
+//    shard's own state — stealing moves *which thread* runs a shard, never
+//    the order or the ownership — so results are byte-identical for every
+//    worker count. Over-decomposition (K > W) is what gives the thief
+//    something to take: a skewed shard keeps one worker busy while the
+//    others drain the rest.
 //
 // How much the matrix beats the scalar bound is decided upstream, by the
 // peer → shard map (sim::ShardPlacement, built once at Engine::Create). The
@@ -58,15 +65,14 @@
 // relocation through the mailbox is also what makes the handoff thread-safe,
 // since the capture is owned by exactly one shard's storage at every moment.
 //
-// Determinism contract (the reason this engine can replace the sequential
-// one without changing results): every event carries a (time, source,
-// per-source sequence) key assigned at creation, where `source` is the
-// *logical* creator (a peer, not a thread or shard). Queues pop in key
-// order, and the conservative windows guarantee a cross-shard event is
-// enqueued before any event with a larger key executes at its destination.
-// Per-destination execution order is therefore a pure function of the
-// simulation — identical for every shard count, worker count, lookahead
-// bound, and stealing mode, including 1 shard. Callers must keep event
+// Determinism contract (the reason sharding never changes results): every
+// event carries a (time, source, per-source sequence) key assigned at
+// creation, where `source` is the *logical* creator (a peer, not a thread or
+// shard). Queues pop in key order, and the conservative windows guarantee a
+// cross-shard event is enqueued before any event with a larger key executes
+// at its destination. Per-destination execution order is therefore a pure
+// function of the simulation — identical for every shard count, worker
+// count, and lookahead bound, including 1 shard. Callers must keep event
 // handlers shard-local (mutate only state owned by the destination's shard)
 // and derive any randomness from stable identities rather than shared
 // sequential streams.
@@ -90,7 +96,8 @@ struct ShardedSimulatorConfig {
   uint32_t num_shards = 1;
   /// Worker threads executing the shards. 0 means one per shard; values
   /// above num_shards are clamped down. Fewer workers than shards
-  /// over-decomposes the run, which is what makes work stealing bite.
+  /// over-decomposes the run, which is what gives work stealing something
+  /// to take.
   uint32_t num_workers = 0;
   /// Scalar conservative lookahead: a positive lower bound on the delay of
   /// every cross-shard event. Used for every shard pair without a matrix
@@ -102,10 +109,6 @@ struct ShardedSimulatorConfig {
   /// (intra-shard scheduling is unconstrained). Empty means "use the scalar
   /// lookahead everywhere".
   std::vector<SimTime> lookahead_matrix;
-  /// Allow idle workers to claim other shards' window work. Never changes
-  /// results; off restores the static home-block binding (worker w runs
-  /// shards w, w + W, w + 2W, ... and nothing else).
-  bool work_stealing = true;
   /// Size of the source-id space (ids are [0, num_sources)). Source 0 is
   /// conventionally the controller; the engine maps peer p to source p + 1.
   SourceId num_sources = 1;
@@ -121,9 +124,6 @@ struct SchedulerStats {
   /// event-less shards are not steals — this counts relocated work).
   uint64_t steals = 0;
   uint64_t idle_ns = 0;   ///< summed worker wait at window-exit barriers
-  /// occupancy[k]: windows in which exactly k shards executed >= 1 event —
-  /// the skew profile work stealing compensates for.
-  std::vector<uint64_t> occupancy;
 };
 
 /// \brief K event queues over W worker threads under per-pair conservative
@@ -173,7 +173,6 @@ class ShardedSimulator {
 
   uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
   uint32_t num_workers() const { return num_workers_; }
-  bool work_stealing() const { return work_stealing_; }
   /// The lookahead bound the scheduler uses for events src creates for dst
   /// (the matrix entry, or the scalar fallback). Meaningless for src == dst.
   SimTime LookaheadBetween(ShardId src, ShardId dst) const;
@@ -211,10 +210,11 @@ class ShardedSimulator {
   /// Barrier hook: derives every shard's window end from the per-pair
   /// lookahead fixpoint, or flags completion.
   void BeginWindow(SimTime horizon);
-  /// Barrier hook: occupancy accounting + claim reset for the next window.
+  /// Barrier hook: drain-claim reset for the next window.
   void EndWindow();
   /// Claims the next unclaimed shard for `worker` (home block first, then
-  /// steals), or kNoShard when none remain. `phase` selects the claim array.
+  /// steals), or kNoShard when none remain. `claims` selects the phase's
+  /// claim array.
   ShardId ClaimShard(uint32_t worker, std::atomic<uint8_t>* claims);
 
   SimTime La(ShardId src, ShardId dst) const {
@@ -227,7 +227,6 @@ class ShardedSimulator {
   SimTime lookahead_ = 0;
   std::vector<SimTime> lookahead_matrix_;  ///< K*K row-major, empty = scalar
   uint32_t num_workers_ = 1;
-  bool work_stealing_ = true;
   ShardBarrier barrier_;
 
   // Per-window claim state: one flag per shard and phase, reset under the
@@ -241,7 +240,7 @@ class ShardedSimulator {
   std::vector<SimTime> local_min_;    ///< per-shard published next-event time
   std::vector<SimTime> earliest_;     ///< fixpoint scratch (hook-only)
   std::vector<SimTime> window_ends_;  ///< per-shard window bound
-  std::vector<uint64_t> executed_at_window_start_;
+  std::vector<uint64_t> executed_at_window_start_;  ///< steal accounting
   bool done_ = false;
   bool running_ = false;
   SimTime controller_now_ = 0;
@@ -250,7 +249,6 @@ class ShardedSimulator {
   // Scheduler stats; steals/idle are touched concurrently by workers.
   std::atomic<uint64_t> steals_{0};
   std::atomic<uint64_t> idle_ns_{0};
-  std::vector<uint64_t> occupancy_;  ///< hook-only, see SchedulerStats
 };
 
 }  // namespace locaware::sim

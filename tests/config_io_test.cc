@@ -66,7 +66,6 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   original.params.ri.eviction = cache::EvictionPolicy::kRandom;
   original.scheduler.shards = 6;
   original.scheduler.workers = 3;
-  original.scheduler.work_stealing = false;
   original.scheduler.placement = sim::PlacementStrategy::kClustered;
   original.scheduler.event_reserve_hint = 4096;
 
@@ -106,16 +105,17 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   EXPECT_EQ(c.params.ri.eviction, cache::EvictionPolicy::kRandom);
   EXPECT_EQ(c.scheduler.shards, 6u);
   EXPECT_EQ(c.scheduler.workers, 3u);
-  EXPECT_FALSE(c.scheduler.work_stealing);
   EXPECT_EQ(c.scheduler.placement, sim::PlacementStrategy::kClustered);
   EXPECT_EQ(c.scheduler.event_reserve_hint, 4096u);
 }
 
 TEST(ConfigIoTest, FlatSchedulerKeysNoLongerParse) {
-  // The pre-SchedulerConfig flat spellings are gone: each is an unknown key
-  // like any typo, so it cannot silently set a scheduler.* field.
+  // The pre-SchedulerConfig flat spellings are gone, and so is the stealing
+  // switch (work stealing is always on): each is an unknown key like any
+  // typo, so it cannot silently set a scheduler.* field.
   for (const char* line : {"shards = 4\n", "workers = 2\n", "work_stealing = false\n",
-                           "event_reserve_hint = 512\n"}) {
+                           "event_reserve_hint = 512\n",
+                           "scheduler.work_stealing = false\n"}) {
     auto parsed = ParseConfig(line);
     ASSERT_FALSE(parsed.ok()) << line;
     EXPECT_NE(parsed.status().message().find("unknown key"), std::string::npos) << line;
@@ -124,13 +124,11 @@ TEST(ConfigIoTest, FlatSchedulerKeysNoLongerParse) {
   auto parsed = ParseConfig(
       "scheduler.shards = 4\n"
       "scheduler.workers = 2\n"
-      "scheduler.work_stealing = false\n"
       "scheduler.event_reserve_hint = 512\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const ExperimentConfig& c = parsed.ValueOrDie();
   EXPECT_EQ(c.scheduler.shards, 4u);
   EXPECT_EQ(c.scheduler.workers, 2u);
-  EXPECT_FALSE(c.scheduler.work_stealing);
   EXPECT_EQ(c.scheduler.event_reserve_hint, 512u);
 }
 

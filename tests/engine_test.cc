@@ -407,15 +407,16 @@ INSTANTIATE_TEST_SUITE_P(Kinds, AllProtocolsTest,
 
 // --- sharded execution (the TSan CI job also runs ShardInvariance*) --------
 
-/// Runs TinyConfig under `shards` and returns the merged per-query records.
+/// Runs TinyConfig under `shards` (driven by `workers`, 0 = one per shard)
+/// and returns the merged per-query records.
 std::vector<metrics::QueryRecord> RunSharded(
     ProtocolKind kind, uint32_t shards, uint64_t seed = 7,
     sim::PlacementStrategy placement = sim::PlacementStrategy::kModulo,
-    bool steal = true) {
+    uint32_t workers = 0) {
   ExperimentConfig cfg = TinyConfig(kind, seed);
   cfg.scheduler.shards = shards;
+  cfg.scheduler.workers = workers;
   cfg.scheduler.placement = placement;
-  cfg.scheduler.work_stealing = steal;
   auto e = std::move(Engine::Create(cfg)).ValueOrDie();
   e->Run();
   EXPECT_EQ(e->pending_query_count(), 0u);
@@ -482,7 +483,7 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ShardInvarianceTest,
                            return name == "Dicas-Keys" ? "DicasKeys" : name;
                          });
 
-// --- skewed load + work stealing (TSan runs *ShardInvariance*) -------------
+// --- skewed load over 2 workers (TSan runs *ShardInvariance*) ---------------
 
 /// Writes a trace whose every requester is remapped to a peer ≡ 0 (mod 8):
 /// at shards ∈ {2, 4, 8} the whole query load lands on shard 0 — the flash-
@@ -513,50 +514,47 @@ std::string WriteSkewedTrace(const ExperimentConfig& cfg, const std::string& tag
 
 class SkewedShardInvarianceTest : public ::testing::TestWithParam<ProtocolKind> {};
 
-TEST_P(SkewedShardInvarianceTest, StealingOnAndOffMatchSequentialPerQuery) {
+TEST_P(SkewedShardInvarianceTest, OverDecomposedShardsMatchSequentialPerQuery) {
   // Byte-equality under the worst case for the scheduler: every query
-  // originates on shard 0 while 8 shards share 2 workers. Stealing (and its
-  // absence) may only move wall-clock, never a single per-query field.
+  // originates on shard 0 while up to 8 shards share 2 workers, so the idle
+  // worker steals the busy one's shard windows. Stealing may only move
+  // wall-clock, never a single per-query field.
   ExperimentConfig base = TinyConfig(GetParam(), /*seed=*/11);
   base.trace_path = WriteSkewedTrace(base, ProtocolKindName(GetParam()));
-  const auto run = [&](uint32_t shards, uint32_t workers, bool steal) {
+  const auto run = [&](uint32_t shards, uint32_t workers) {
     ExperimentConfig cfg = base;
     cfg.scheduler.shards = shards;
     cfg.scheduler.workers = workers;
-    cfg.scheduler.work_stealing = steal;
     auto e = std::move(Engine::Create(cfg)).ValueOrDie();
     e->Run();
     EXPECT_EQ(e->pending_query_count(), 0u);
     EXPECT_EQ(e->tracked_query_count(), 0u);
     return e->metrics().records();
   };
-  const auto seq = run(1, 0, true);
+  const auto seq = run(1, 0);
   ASSERT_EQ(seq.size(), 200u);
   size_t successes = 0;
   for (const auto& r : seq) successes += r.success ? 1 : 0;
   ASSERT_GT(successes, 0u) << "skewed trace produced no hits at all";
   for (uint32_t shards : {2u, 4u, 8u}) {
-    for (bool steal : {false, true}) {
-      const auto par = run(shards, /*workers=*/2, steal);
-      ASSERT_EQ(par.size(), seq.size());
-      for (size_t i = 0; i < seq.size(); ++i) {
-        const metrics::QueryRecord& a = seq[i];
-        const metrics::QueryRecord& b = par[i];
-        const std::string where = "slot " + std::to_string(i) + " shards " +
-                                  std::to_string(shards) +
-                                  (steal ? " steal" : " pinned");
-        EXPECT_EQ(a.success, b.success) << where;
-        EXPECT_EQ(a.source, b.source) << where;
-        EXPECT_EQ(a.query_msgs, b.query_msgs) << where;
-        EXPECT_EQ(a.query_bytes, b.query_bytes) << where;
-        EXPECT_EQ(a.response_msgs, b.response_msgs) << where;
-        EXPECT_EQ(a.response_bytes, b.response_bytes) << where;
-        EXPECT_EQ(a.responses_received, b.responses_received) << where;
-        EXPECT_EQ(a.providers_offered, b.providers_offered) << where;
-        EXPECT_EQ(a.first_response_at, b.first_response_at) << where;
-        EXPECT_EQ(a.download_distance_ms, b.download_distance_ms) << where;
-        EXPECT_EQ(a.provider_loc_match, b.provider_loc_match) << where;
-      }
+    const auto par = run(shards, /*workers=*/2);
+    ASSERT_EQ(par.size(), seq.size());
+    for (size_t i = 0; i < seq.size(); ++i) {
+      const metrics::QueryRecord& a = seq[i];
+      const metrics::QueryRecord& b = par[i];
+      const std::string where =
+          "slot " + std::to_string(i) + " shards " + std::to_string(shards);
+      EXPECT_EQ(a.success, b.success) << where;
+      EXPECT_EQ(a.source, b.source) << where;
+      EXPECT_EQ(a.query_msgs, b.query_msgs) << where;
+      EXPECT_EQ(a.query_bytes, b.query_bytes) << where;
+      EXPECT_EQ(a.response_msgs, b.response_msgs) << where;
+      EXPECT_EQ(a.response_bytes, b.response_bytes) << where;
+      EXPECT_EQ(a.responses_received, b.responses_received) << where;
+      EXPECT_EQ(a.providers_offered, b.providers_offered) << where;
+      EXPECT_EQ(a.first_response_at, b.first_response_at) << where;
+      EXPECT_EQ(a.download_distance_ms, b.download_distance_ms) << where;
+      EXPECT_EQ(a.provider_loc_match, b.provider_loc_match) << where;
     }
   }
 }
@@ -613,24 +611,24 @@ TEST(ShardConfigTest, CreateRejectsZeroShards) {
 class PlacementShardInvarianceTest : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(PlacementShardInvarianceTest, ClusteredMatchesSequentialModuloPerQuery) {
-  // Placement joins shards/workers/stealing in the wall-clock-only club: the
+  // Placement joins shards/workers in the wall-clock-only club: the
   // locality-clustered peer → shard map may only change window depth, never a
   // per-query field. The baseline is the sequential *modulo* run, so this
   // also proves the two strategies agree with each other at every shard
-  // count, with and without stealing.
+  // count, with one worker per shard and over-decomposed onto 2 workers.
   const auto seq = RunSharded(GetParam(), 1);
   ASSERT_EQ(seq.size(), 200u);
   for (uint32_t shards : {4u, 8u}) {
-    for (bool steal : {false, true}) {
+    for (uint32_t workers : {0u, 2u}) {
       const auto par = RunSharded(GetParam(), shards, /*seed=*/7,
-                                  sim::PlacementStrategy::kClustered, steal);
+                                  sim::PlacementStrategy::kClustered, workers);
       ASSERT_EQ(par.size(), seq.size());
       for (size_t i = 0; i < seq.size(); ++i) {
         const metrics::QueryRecord& a = seq[i];
         const metrics::QueryRecord& b = par[i];
         const std::string where = "slot " + std::to_string(i) + " shards " +
-                                  std::to_string(shards) +
-                                  (steal ? " steal" : " pinned");
+                                  std::to_string(shards) + " workers " +
+                                  std::to_string(workers);
         EXPECT_EQ(a.qid, b.qid) << where;
         EXPECT_EQ(a.success, b.success) << where;
         EXPECT_EQ(a.source, b.source) << where;

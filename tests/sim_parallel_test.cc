@@ -2,17 +2,19 @@
 // (a cross-shard event landing exactly at the lookahead bound is never
 // missed — for the scalar bound and for every per-shard-pair matrix entry),
 // shard-count-invariant ordering (per-destination execution order is
-// identical for K = 1, 2, 4, 8, with and without work stealing, for any
-// worker count), and the Run/horizon semantics the engine relies on. The
-// TSan CI job runs exactly this binary's SimParallel* suite over the
+// identical for K = 1, 2, 4, 8 and for any worker count, idle workers
+// stealing shard windows), and the Run/horizon semantics the engine relies
+// on. The TSan CI job runs exactly this binary's SimParallel* suite over the
 // threaded paths, stealing included.
 #include "sim/sharded_simulator.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/shard.h"
@@ -182,11 +184,11 @@ TEST(SimParallelTest, PairwiseMatrixDeepensWindows) {
 }
 
 // The determinism contract: per-destination execution order is a pure
-// function of the simulation, not of the shard count, the worker count, or
-// the stealing mode. Each source floods a deterministic cascade of messages
-// (with deliberate time ties) at a fixed set of destinations; the
-// per-destination logs must be identical for every partitioning of
-// destinations over shards and every thread assignment.
+// function of the simulation, not of the shard count or the worker count
+// (nor of which worker stole which shard window). Each source floods a
+// deterministic cascade of messages (with deliberate time ties) at a fixed
+// set of destinations; the per-destination logs must be identical for every
+// partitioning of destinations over shards and every thread assignment.
 struct LogEntry {
   SimTime time;
   uint32_t src;
@@ -195,13 +197,11 @@ struct LogEntry {
 };
 
 std::vector<std::vector<LogEntry>> RunCascade(uint32_t num_shards,
-                                              uint32_t num_workers = 0,
-                                              bool work_stealing = true) {
+                                              uint32_t num_workers = 0) {
   constexpr uint32_t kNodes = 12;
   constexpr int kDepth = 5;
   ShardedSimulatorConfig cascade_config = Config(num_shards, kNodes);
   cascade_config.num_workers = num_workers;
-  cascade_config.work_stealing = work_stealing;
   ShardedSimulator sim(cascade_config);
   // logs[d] is only ever appended by destination d's handler, which always
   // runs on shard d % num_shards — single-writer, no lock needed.
@@ -246,29 +246,24 @@ TEST(SimParallelTest, PerDestinationOrderInvariantAcrossShardCounts) {
 
 // Stealing moves which thread runs a shard, never the order: the cascade
 // must replay byte-identically when 8 shards are over-decomposed onto 2 or
-// 3 workers, with stealing both allowed and pinned to the static home-block
-// binding.
+// 3 workers, whose idle workers steal the busy ones' shard windows.
 TEST(SimParallelTest, PerDestinationOrderInvariantUnderWorkStealing) {
   const auto baseline = RunCascade(1);
   for (uint32_t workers : {2u, 3u}) {
-    for (bool steal : {false, true}) {
-      const auto sharded = RunCascade(8, workers, steal);
-      ASSERT_EQ(sharded.size(), baseline.size());
-      for (size_t d = 0; d < baseline.size(); ++d) {
-        EXPECT_EQ(sharded[d], baseline[d])
-            << "dst " << d << " workers " << workers << " steal " << steal;
-      }
+    const auto sharded = RunCascade(8, workers);
+    ASSERT_EQ(sharded.size(), baseline.size());
+    for (size_t d = 0; d < baseline.size(); ++d) {
+      EXPECT_EQ(sharded[d], baseline[d]) << "dst " << d << " workers " << workers;
     }
   }
 }
 
-TEST(SimParallelTest, SchedulerStatsAccountWindowsAndOccupancy) {
-  const auto run = [](bool steal) {
+TEST(SimParallelTest, SchedulerStatsAccountWindowsAndSteals) {
+  const auto run = [](uint32_t workers) {
     ShardedSimulatorConfig config = Config(4, 4);
-    config.num_workers = 2;
-    config.work_stealing = steal;
+    config.num_workers = workers;
     ShardedSimulator sim(config);
-    // Shard 0 gets a dense chain, the rest one event each: occupancy is
+    // Shard 0 gets a dense chain, the rest one event each: the load is
     // skewed and windows accumulate.
     std::function<void(int)> chain = [&sim, &chain](int round) {
       if (round >= 10) return;
@@ -279,16 +274,33 @@ TEST(SimParallelTest, SchedulerStatsAccountWindowsAndOccupancy) {
     sim.Run();
     return sim.stats();
   };
-  const SchedulerStats pinned = run(false);
-  EXPECT_EQ(pinned.steals, 0u);  // home-block binding never crosses blocks
-  EXPECT_GT(pinned.windows, 0u);
-  uint64_t occupancy_total = 0;
-  for (uint64_t count : pinned.occupancy) occupancy_total += count;
-  EXPECT_EQ(occupancy_total, pinned.windows);
-  // Stealing mode executes the identical schedule (windows is a pure
-  // function of events + bounds); steals themselves are timing-dependent.
-  const SchedulerStats stealing = run(true);
-  EXPECT_EQ(stealing.windows, pinned.windows);
+  // A lone worker's home block is every shard, so nothing it runs is a steal.
+  const SchedulerStats single = run(1);
+  EXPECT_EQ(single.steals, 0u);
+  EXPECT_GT(single.windows, 0u);
+  // Two workers execute the identical schedule (windows is a pure function
+  // of events + bounds); steals themselves are timing-dependent.
+  EXPECT_EQ(run(2).windows, single.windows);
+}
+
+// A steal, forced without relying on timing: 3 shards over 2 workers, so
+// shards 0 and 2 are both worker 0's home block. Shard 0's event spins until
+// shard 2's has run, so the two cannot run on the same thread — worker 1
+// must take one of them, and the stats must count that relocated window.
+TEST(SimParallelTest, BlockedHomeBlockIsStolenAndCounted) {
+  ShardedSimulatorConfig config = Config(3, 3);
+  config.num_workers = 2;
+  ShardedSimulator sim(config);
+  std::atomic<bool> shard2_ran{false};
+  sim.ScheduleAt(0, 0, 0, [&shard2_ran] {
+    while (!shard2_ran.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  sim.ScheduleAt(1, 1, 0, [] {});
+  sim.ScheduleAt(2, 2, 0, [&shard2_ran] {
+    shard2_ran.store(true, std::memory_order_release);
+  });
+  EXPECT_EQ(sim.Run(), 3u);
+  EXPECT_GE(sim.stats().steals, 1u);
 }
 
 // Mailbox batching: cross-shard events created inside one window are all

@@ -1,10 +1,15 @@
-#include "sim/simulator.h"
-
+// Tests for the event engine's building blocks (SimTime, EventQueue) and
+// for ShardedSimulator at one shard — the sequential loop every engine run
+// at shards=1 executes. The threaded multi-shard paths live in
+// sim_parallel_test.cc.
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/event_queue.h"
+#include "sim/sharded_simulator.h"
 #include "sim/sim_time.h"
 
 namespace locaware::sim {
@@ -29,35 +34,40 @@ TEST(SimTimeTest, Formatting) {
   EXPECT_EQ(FormatSimTime(7), "7us");
 }
 
-TEST(EventQueueTest, PopsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.Push(30, [&] { fired.push_back(3); });
-  q.Push(10, [&] { fired.push_back(1); });
-  q.Push(20, [&] { fired.push_back(2); });
+/// Drains `q`, invoking every event in pop order.
+void DrainQueue(EventQueue& q) {
   while (!q.empty()) {
     SimTime t;
     q.Pop(&t)();
   }
+}
+
+TEST(EventQueueTest, PopsInTimeOrder) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.PushKeyed(30, /*src=*/0, /*seq=*/0, [&] { fired.push_back(3); });
+  q.PushKeyed(10, /*src=*/0, /*seq=*/1, [&] { fired.push_back(1); });
+  q.PushKeyed(20, /*src=*/0, /*seq=*/2, [&] { fired.push_back(2); });
+  DrainQueue(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesFireInPushOrder) {
+  // One source with a running sequence number: same-time events fire in the
+  // order that source created them.
   EventQueue q;
   std::vector<int> fired;
   for (int i = 0; i < 10; ++i) {
-    q.Push(5, [&fired, i] { fired.push_back(i); });
+    q.PushKeyed(5, /*src=*/0, static_cast<uint64_t>(i),
+                [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) {
-    SimTime t;
-    q.Pop(&t)();
-  }
+  DrainQueue(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
 }
 
 TEST(EventQueueTest, PeekDoesNotPop) {
   EventQueue q;
-  q.Push(42, [] {});
+  q.PushKeyed(42, /*src=*/0, /*seq=*/0, [] {});
   EXPECT_EQ(q.PeekTime(), 42);
   EXPECT_EQ(q.size(), 1u);
 }
@@ -69,52 +79,51 @@ TEST(EventQueueTest, EmptyAccessDies) {
   EXPECT_DEATH(q.Pop(&t), "empty");
 }
 
+// --- ShardedSimulator at one shard ------------------------------------------
+
+/// A one-shard simulator whose events all come from source 0.
+ShardedSimulatorConfig SingleShard() {
+  ShardedSimulatorConfig config;
+  config.num_shards = 1;
+  config.num_sources = 1;
+  return config;
+}
+
+/// Schedules `fn` at `at` on the only shard, as source 0.
+void At(ShardedSimulator& sim, SimTime at, EventFn fn) {
+  sim.ScheduleAt(/*dst=*/0, /*src=*/0, at, std::move(fn));
+}
+
 TEST(SimulatorTest, StartsAtZero) {
-  Simulator sim;
+  ShardedSimulator sim(SingleShard());
   EXPECT_EQ(sim.Now(), 0);
   EXPECT_EQ(sim.pending_count(), 0u);
 }
 
 TEST(SimulatorTest, ClockAdvancesToEventTime) {
-  Simulator sim;
+  ShardedSimulator sim(SingleShard());
   SimTime seen = -1;
-  sim.ScheduleAt(100, [&] { seen = sim.Now(); });
+  At(sim, 100, [&] { seen = sim.Now(); });
   sim.Run();
   EXPECT_EQ(seen, 100);
   EXPECT_EQ(sim.Now(), 100);
 }
 
-TEST(SimulatorTest, ScheduleAfterIsRelative) {
-  Simulator sim;
-  std::vector<SimTime> times;
-  sim.ScheduleAt(50, [&] {
-    sim.ScheduleAfter(25, [&] { times.push_back(sim.Now()); });
-  });
-  sim.Run();
-  ASSERT_EQ(times.size(), 1u);
-  EXPECT_EQ(times[0], 75);
-}
-
 TEST(SimulatorTest, SchedulingIntoThePastDies) {
-  Simulator sim;
-  sim.ScheduleAt(100, [] {});
-  sim.Run();
-  EXPECT_DEATH(sim.ScheduleAt(50, [] {}), "past");
-}
-
-TEST(SimulatorTest, NegativeDelayDies) {
-  Simulator sim;
-  EXPECT_DEATH(sim.ScheduleAfter(-1, [] {}), "CHECK");
+  // Inside a handler the shard clock is the floor for new events.
+  ShardedSimulator sim(SingleShard());
+  At(sim, 100, [&] { At(sim, 50, [] {}); });
+  EXPECT_DEATH(sim.Run(), "past");
 }
 
 TEST(SimulatorTest, CascadedEventsAllFire) {
-  Simulator sim;
+  ShardedSimulator sim(SingleShard());
   int count = 0;
   std::function<void()> chain = [&] {
     ++count;
-    if (count < 100) sim.ScheduleAfter(10, chain);
+    if (count < 100) At(sim, sim.Now() + 10, chain);
   };
-  sim.ScheduleAfter(10, chain);
+  At(sim, 10, chain);
   const uint64_t executed = sim.Run();
   EXPECT_EQ(count, 100);
   EXPECT_EQ(executed, 100u);
@@ -122,20 +131,20 @@ TEST(SimulatorTest, CascadedEventsAllFire) {
 }
 
 TEST(SimulatorTest, HorizonStopsEarlyAndKeepsLaterEvents) {
-  Simulator sim;
+  ShardedSimulator sim(SingleShard());
   int fired = 0;
-  sim.ScheduleAt(10, [&] { ++fired; });
-  sim.ScheduleAt(20, [&] { ++fired; });
-  sim.ScheduleAt(30, [&] { ++fired; });
-  sim.Run(20);
+  At(sim, 10, [&] { ++fired; });
+  At(sim, 20, [&] { ++fired; });
+  At(sim, 30, [&] { ++fired; });
+  EXPECT_EQ(sim.Run(20), 2u);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(sim.pending_count(), 1u);
-  sim.Run();
+  EXPECT_EQ(sim.Run(), 1u);
   EXPECT_EQ(fired, 3);
 }
 
 TEST(SimulatorTest, IdleAdvanceToHorizon) {
-  Simulator sim;
+  ShardedSimulator sim(SingleShard());
   sim.Run(500);
   EXPECT_EQ(sim.Now(), 500);
   // A second horizon run composes.
@@ -143,69 +152,25 @@ TEST(SimulatorTest, IdleAdvanceToHorizon) {
   EXPECT_EQ(sim.Now(), 900);
 }
 
-TEST(SimulatorTest, StopInterruptsRun) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(1, [&] {
-    ++fired;
-    sim.Stop();
-  });
-  sim.ScheduleAt(2, [&] { ++fired; });
-  sim.Run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(sim.pending_count(), 1u);
-}
-
-TEST(SimulatorTest, StepExecutesExactlyOne) {
-  Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(1, [&] { ++fired; });
-  sim.ScheduleAt(2, [&] { ++fired; });
-  EXPECT_TRUE(sim.Step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.Step());
-  EXPECT_FALSE(sim.Step());
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(SimulatorTest, PeriodicRunsUntilCallbackDeclines) {
-  Simulator sim;
-  int ticks = 0;
-  sim.SchedulePeriodic(100, [&] { return ++ticks < 5; });
-  sim.Run();
-  EXPECT_EQ(ticks, 5);
-  EXPECT_EQ(sim.Now(), 500);
-}
-
-TEST(SimulatorTest, PeriodicRespectsHorizon) {
-  Simulator sim;
-  int ticks = 0;
-  sim.SchedulePeriodic(100, [&] {
-    ++ticks;
-    return true;
-  });
-  sim.Run(1000);
-  EXPECT_EQ(ticks, 10);
-}
-
 TEST(SimulatorTest, SameTimeEventsDeterministicWithNestedScheduling) {
   // Events scheduled *during* a same-timestamp batch must still fire in
   // scheduling order after the batch.
-  Simulator sim;
+  ShardedSimulator sim(SingleShard());
   std::vector<int> order;
-  sim.ScheduleAt(10, [&] {
+  At(sim, 10, [&] {
     order.push_back(1);
-    sim.ScheduleAt(10, [&] { order.push_back(3); });
+    At(sim, 10, [&] { order.push_back(3); });
   });
-  sim.ScheduleAt(10, [&] { order.push_back(2); });
+  At(sim, 10, [&] { order.push_back(2); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(SimulatorTest, ExecutedCountAccumulates) {
-  Simulator sim;
-  for (int i = 0; i < 7; ++i) sim.ScheduleAfter(i, [] {});
-  sim.Run();
+  ShardedSimulator sim(SingleShard());
+  for (int i = 0; i < 7; ++i) At(sim, i, [] {});
+  EXPECT_EQ(sim.Run(3), 4u);
+  EXPECT_EQ(sim.Run(), 3u);
   EXPECT_EQ(sim.executed_count(), 7u);
 }
 
