@@ -6,8 +6,6 @@
 #include <cstring>
 #include <future>
 
-#include "catalog/workload.h"
-
 #include "core/config_io.h"
 #include "metrics/svg_plot.h"
 
@@ -64,19 +62,6 @@ std::vector<core::ExperimentResult> RunAllProtocols(
       core::ProtocolKind::kDicasKeys,
       core::ProtocolKind::kLocaware,
   };
-  // Peek the trace once so every protocol's run pre-reserves its per-shard
-  // event queues for the whole storm (zero heap growth at startup).
-  size_t event_hint = 0;
-  if (!options.trace_path.empty()) {
-    auto count = catalog::PeekTraceQueryCount(options.trace_path);
-    if (!count.ok()) {
-      std::fprintf(stderr, "trace %s: %s\n", options.trace_path.c_str(),
-                   count.status().ToString().c_str());
-      std::exit(1);
-    }
-    const uint32_t shards = options.shards == 0 ? 1 : options.shards;
-    event_hint = static_cast<size_t>(count.ValueOrDie()) / shards + 1024;
-  }
   std::vector<std::future<core::ExperimentResult>> futures;
   for (core::ProtocolKind kind : kinds) {
     futures.push_back(std::async(std::launch::async, [=] {
@@ -93,10 +78,7 @@ std::vector<core::ExperimentResult> RunAllProtocols(
             std::min<size_t>(1000, std::max(config.underlay.num_routers,
                                             options.peers / 25));
       }
-      if (!options.trace_path.empty()) {
-        config.trace_path = options.trace_path;
-        config.scheduler.event_reserve_hint = event_hint;
-      }
+      if (!options.trace_path.empty()) config.trace_path = options.trace_path;
       if (tweak) tweak(&config);
       auto result = core::RunExperiment(config, options.buckets);
       if (!result.ok()) {

@@ -106,7 +106,9 @@ void BM_ShardedSimulatorStorm(benchmark::State& state) {
     sim::ShardedSimulator sim(cfg);
     // Each source keeps one event outstanding; reserving that up front makes
     // storm startup allocation-free (the queues never regrow mid-run).
-    sim.ReserveEvents(kSources / shards + 1024);
+    for (sim::ShardId s = 0; s < sim.num_shards(); ++s) {
+      sim.ReserveEvents(s, kSources / shards + 1024);
+    }
     // Each source bounces a message to a pseudo-random partner every
     // lookahead: the worst case for window synchronization (every window
     // holds work for every shard, every hop may cross shards).
@@ -159,7 +161,9 @@ void BM_ShardedSimulatorClusteredLocality(benchmark::State& state) {
     cfg.num_sources = kShards * kSourcesPerShard;
     sim::ShardedSimulator sim(cfg);
     // Up to two outstanding events per source (tick chain + cross ping).
-    sim.ReserveEvents(2 * kSourcesPerShard + 1024);
+    for (sim::ShardId s = 0; s < sim.num_shards(); ++s) {
+      sim.ReserveEvents(s, 2 * kSourcesPerShard + 1024);
+    }
     // Every source ticks a local chain each ms and pings the next cluster
     // once every 50 rounds, at the cross-link latency.
     std::function<void(uint32_t, int)> tick = [&](uint32_t src, int round) {
@@ -216,7 +220,9 @@ void BM_ShardedSimulatorSkewedStorm(benchmark::State& state) {
     cfg.num_sources = kSources;
     sim::ShardedSimulator sim(cfg);
     // Half the sources hash to shard 0, so size every queue for the hot one.
-    sim.ReserveEvents(kSources / 2 + 1024);
+    for (sim::ShardId s = 0; s < sim.num_shards(); ++s) {
+      sim.ReserveEvents(s, kSources / 2 + 1024);
+    }
     std::function<void(uint32_t, int)> hop = [&](uint32_t src, int round) {
       if (round >= kRounds) return;
       const uint32_t dst = (src * 2654435761u + 1) % kSources;

@@ -61,7 +61,7 @@ void Arena::NewBlock(size_t min_bytes) {
   if (!blocks_.empty()) size = blocks_.back().size * 2;
   if (size < min_bytes) size = min_bytes;
   Block block;
-  block.data = std::make_unique<unsigned char[]>(size);
+  block.data = std::make_unique_for_overwrite<unsigned char[]>(size);
   block.size = size;
   // The abandoned tail of the previous block (< min_bytes) is forfeited;
   // bounded waste in exchange for contiguous chunks.

@@ -24,6 +24,10 @@
 //    bookkeeping bytes.
 //  * Wholesale release. The destructor frees the blocks; nothing else ever
 //    returns memory to the OS.
+//  * Untouched until carved. Blocks are allocated uninitialized (callers
+//    initialize what they carve: FlatMap clears its own metadata, and a
+//    recycled chunk was never zero anyway), so reserved-but-unused block
+//    space never becomes resident.
 //
 // Thread safety: none. Correctness comes from the shard-ownership
 // discipline — all allocations for peer p happen inside events executing
@@ -56,8 +60,10 @@ class Arena {
   void Deallocate(void* ptr, size_t bytes);
 
   /// Ensures at least `bytes` of contiguous bump capacity, allocating one
-  /// block up front. Called by the engine with a per-shard estimate so the
-  /// hot path never grows mid-run.
+  /// block up front. Blocks are not zero-filled, so a reservation costs
+  /// address space, not resident memory: a page becomes resident only when
+  /// a chunk carved from it is written. The engine reserves a per-shard
+  /// estimate at startup so early growth carves from one block.
   void Reserve(size_t bytes);
 
   /// Observability for tests and bench counters.

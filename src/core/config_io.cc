@@ -113,10 +113,6 @@ std::string FormatConfig(const ExperimentConfig& c) {
   out << "scheduler.workers = " << c.scheduler.workers << "\n";
   out << "scheduler.placement = "
       << sim::PlacementStrategyName(c.scheduler.placement) << "\n";
-  if (c.scheduler.event_reserve_hint != 0) {
-    out << "scheduler.event_reserve_hint = " << c.scheduler.event_reserve_hint
-        << "\n";
-  }
   out << "\n# network\n";
   out << "num_peers = " << c.num_peers << "\n";
   out << "avg_degree = " << FormatDouble(c.avg_degree) << "\n";
@@ -220,8 +216,6 @@ Result<ExperimentConfig> ParseConfig(const std::string& text) {
       auto v = ParsePlacementStrategy(kv.value);
       if (!v.ok()) return v.status();
       c.scheduler.placement = v.ValueOrDie();
-    } else if (kv.key == "scheduler.event_reserve_hint") {
-      LOCAWARE_ASSIGN(u64, c.scheduler.event_reserve_hint, size_t)
     } else if (kv.key == "num_peers") {
       LOCAWARE_ASSIGN(u64, c.num_peers, size_t)
     } else if (kv.key == "avg_degree") {

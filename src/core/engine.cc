@@ -73,8 +73,15 @@ Status Engine::Setup() {
     if (!loaded.ok()) return loaded.status();
     workload_ = std::move(loaded).ValueOrDie();
     // A trace written against a different universe must not index out of
-    // bounds silently.
-    for (const catalog::QueryEvent& ev : workload_.queries()) {
+    // bounds silently. Arrivals stream in workload order (Run), so the
+    // trace must also be in submission order.
+    const auto& queries = workload_.queries();
+    for (size_t i = 1; i < queries.size(); ++i) {
+      if (queries[i].submit_time < queries[i - 1].submit_time) {
+        return Status::InvalidArgument("trace submit times must be non-decreasing");
+      }
+    }
+    for (const catalog::QueryEvent& ev : queries) {
       if (ev.requester >= config_.num_peers) {
         return Status::InvalidArgument("trace requester exceeds num_peers");
       }
@@ -148,6 +155,14 @@ Status Engine::Setup() {
   sim_cfg.num_sources = static_cast<sim::SourceId>(config_.num_peers) + 1;
   sim_ = std::make_unique<sim::ShardedSimulator>(sim_cfg);
   shards_.resize(num_shards_);
+  // Queue capacity for the in-flight working set: one maintenance tick per
+  // peer, as much again for the messages, deadlines and arrival in flight,
+  // plus fixed headroom. Reserved capacity stays address space until events
+  // use it, while outgrowing it relocates the whole slab and can strand the
+  // old one in the heap — so the budget errs large.
+  for (sim::ShardId s = 0; s < num_shards_; ++s) {
+    sim_->ReserveEvents(s, 2 * placement_.shard_peer_counts()[s] + 1024);
+  }
 
   // 3c. Shard-local arenas, reserved from the placement's peer counts. Every
   // arena-aware container a shard's peers own (overlay adjacency rows, file
@@ -406,16 +421,9 @@ void Engine::Run() {
   // workload index everywhere, so per-shard counter contributions line up at
   // merge time; per-shard slot maps are erased by that query's cleanup event,
   // which is what stops post-deadline stragglers from charging traffic.
-  // Per-shard submission counts: the basis for the pending-map and event-heap
-  // reserves below (known sizes, so the storm path does zero rehash/regrow).
-  std::vector<size_t> submissions(num_shards_, 0);
-  for (const catalog::QueryEvent& ev : queries) ++submissions[shard_of(ev.requester)];
-
   for (sim::ShardId s = 0; s < num_shards_; ++s) {
     ShardState& shard = shards_[s];
     shard.slot_of.reserve(queries.size());
-    shard.touched.reserve(queries.size());
-    shard.pending.reserve(submissions[s]);
     for (const catalog::QueryEvent& ev : queries) {
       const size_t slot = shard.metrics.BeginQuery(ev.id, ev.requester, ev.submit_time);
       shard.metrics.Record(slot)->target_rank = workload_.RankOfFile(ev.target);
@@ -423,19 +431,8 @@ void Engine::Run() {
     }
   }
 
-  // Pre-size the event heaps: one submission event per query up front, plus
-  // headroom for the per-query message churn that replaces it. Callers who
-  // know the workload shape (fig_common derives it from the trace size) can
-  // override via the config hint.
-  size_t event_hint = config_.scheduler.event_reserve_hint;
-  if (event_hint == 0) {
-    event_hint = *std::max_element(submissions.begin(), submissions.end()) + 1024;
-  }
-  sim_->ReserveEvents(event_hint);
-  for (const catalog::QueryEvent& ev : queries) {
-    sim_->ScheduleAt(shard_of(ev.requester), /*src=*/0, ev.submit_time,
-                     [this, &ev] { SubmitQuery(ev); });
-  }
+  arrival_seq_base_ = sim_->ReserveSequence(/*src=*/0, queries.size());
+  for (sim::ShardId s = 0; s < num_shards_; ++s) ScheduleArrival(s, 0);
   sim_->Run(RunHorizon());
 
   // Fold the per-shard collectors into the run-level view.
@@ -478,6 +475,17 @@ overlay::RecordVec Engine::AnswerFromFileStore(
     records.push_back(std::move(record));
   }
   return records;
+}
+
+void Engine::ScheduleArrival(sim::ShardId s, size_t from) {
+  const auto& queries = workload_.queries();
+  while (from < queries.size() && shard_of(queries[from].requester) != s) ++from;
+  if (from == queries.size()) return;
+  sim_->ScheduleReserved(s, /*src=*/0, arrival_seq_base_ + from,
+                         queries[from].submit_time, [this, s, from] {
+                           ScheduleArrival(s, from + 1);
+                           SubmitQuery(workload_.queries()[from]);
+                         });
 }
 
 void Engine::SubmitQuery(const catalog::QueryEvent& ev) {

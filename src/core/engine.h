@@ -66,8 +66,11 @@ class Engine {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Schedules the full workload and runs the simulation until every query
-  /// has been finalized (last submission + query deadline + response slack).
+  /// Runs the workload until every query has been finalized (last
+  /// submission + query deadline + response slack). Arrivals are streamed:
+  /// each shard keeps one submission queued and each submission schedules
+  /// that shard's next, so the event queues hold in-flight work, not the
+  /// trace.
   void Run();
 
   // --- services for protocols, benches and tests ---
@@ -211,6 +214,12 @@ class Engine {
   // per hop (QueryPayloadRef), so fan-out costs O(targets) refcount bumps
   // and steady state allocates nothing (the pool recycles nodes).
   void SubmitQuery(const catalog::QueryEvent& ev);
+  /// Queues shard `s`'s first submission at workload index >= `from`, keyed
+  /// (submit_time, controller, arrival_seq_base_ + index) — the key an
+  /// up-front schedule of the whole workload would have given it. Walking
+  /// each shard's indices in order keeps its earliest queued event, and
+  /// with it every window bound, what it was with all arrivals queued.
+  void ScheduleArrival(sim::ShardId s, size_t from);
   void DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg);
   void DeliverResponse(PeerId to, PeerId from, overlay::ResponseMessage msg);
   /// Returns the number of neighbors the query was forwarded to.
@@ -313,6 +322,9 @@ class Engine {
   Rng root_rng_;
   uint64_t decision_seed_ = 0;
   uint64_t churn_seed_ = 0;
+  /// First of the controller sequence numbers Run reserves for arrivals:
+  /// workload index i is keyed arrival_seq_base_ + i.
+  uint64_t arrival_seq_base_ = 0;
 
   /// One arena per shard. Declared before every arena-backed structure
   /// (graph_, nodes_, shards_) so it is destroyed last: their destructors

@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -45,6 +46,7 @@ void EventQueue::PushKeyed(SimTime at, SourceId src, uint64_t seq, EventFn fn) {
   Entry entry{at, src, AcquireSlot(std::move(fn)), seq};
   ++pushed_;
   heap_.emplace_back();  // open a hole at the tail, then sift the entry in
+  high_water_ = std::max(high_water_, heap_.size());
   SiftUp(heap_.size() - 1, entry);
 }
 

@@ -48,7 +48,9 @@ using SourceId = uint32_t;
 /// The heap is hand-rolled over a std::vector rather than std::priority_queue:
 /// priority_queue's const top() forces a const_cast to move the callback out,
 /// and it cannot pre-size its storage. Here Pop moves the payload legally and
-/// Reserve lets callers pre-allocate for a known workload length.
+/// Reserve lets callers pre-allocate for the expected in-flight working set
+/// (the engine streams query arrivals, so that set does not grow with the
+/// trace).
 ///
 /// Storage is split in two: the heap orders 24-byte (time, src, seq, slot)
 /// keys, while the fat EventFn payloads sit in a slab indexed by `slot` and
@@ -84,6 +86,10 @@ class EventQueue {
   /// Total number of events ever pushed.
   uint64_t pushed_count() const { return pushed_; }
 
+  /// Most events ever queued at once (reporting only: it depends on when
+  /// the scheduler drains mailboxes, so it never enters metric JSON).
+  size_t high_water() const { return high_water_; }
+
  private:
   /// Heap node: the ordering key plus the payload's slab index. Kept small
   /// on purpose — sift operations move these, never the closures.
@@ -117,6 +123,7 @@ class EventQueue {
   std::vector<EventFn> slots_;       ///< payload slab, indexed by Entry::slot
   std::vector<uint32_t> free_slots_; ///< recycled slab indexes (LIFO)
   uint64_t pushed_ = 0;
+  size_t high_water_ = 0;
 };
 
 }  // namespace locaware::sim

@@ -72,24 +72,17 @@ SimTime ShardedSimulator::LookaheadBetween(ShardId src, ShardId dst) const {
 }
 
 void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn fn) {
-  LOCAWARE_CHECK_LT(dst, shards_.size());
   LOCAWARE_CHECK_LT(src, next_seq_.size());
   const uint64_t seq = next_seq_[src]++;
 
   const ShardId cur = tls_current_shard;
-  if (cur == kNoShard) {
-    // Controller phase: workers are not running, direct pushes are safe.
-    LOCAWARE_CHECK(!running_) << "non-worker scheduling during a parallel run";
-    shards_[dst].queue.PushKeyed(at, src, seq, std::move(fn));
+  if (cur == kNoShard || dst == cur) {
+    ScheduleReserved(dst, src, seq, at, std::move(fn));
     return;
   }
-
+  LOCAWARE_CHECK_LT(dst, shards_.size());
   Shard& me = shards_[cur];
   LOCAWARE_CHECK_GE(at, me.now) << "scheduling into the past";
-  if (dst == cur) {
-    me.queue.PushKeyed(at, src, seq, std::move(fn));
-    return;
-  }
   // Conservative-window soundness: a remote event may only land at or beyond
   // the *destination's* window end, where it has provably not executed yet.
   // Real message delays satisfy this via the per-pair lookahead lower bound:
@@ -99,14 +92,39 @@ void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn
   me.outbox[dst].push_back(ShardEvent{at, src, seq, std::move(fn)});
 }
 
+uint64_t ShardedSimulator::ReserveSequence(SourceId src, uint64_t count) {
+  LOCAWARE_CHECK_LT(src, next_seq_.size());
+  LOCAWARE_CHECK(tls_current_shard == kNoShard && !running_)
+      << "sequence blocks are reserved by the controller";
+  const uint64_t first = next_seq_[src];
+  next_seq_[src] += count;
+  return first;
+}
+
+void ShardedSimulator::ScheduleReserved(ShardId dst, SourceId src, uint64_t seq,
+                                        SimTime at, EventFn fn) {
+  LOCAWARE_CHECK_LT(dst, shards_.size());
+  LOCAWARE_CHECK_LT(src, next_seq_.size());
+  const ShardId cur = tls_current_shard;
+  if (cur == kNoShard) {
+    // Controller phase: workers are not running, direct pushes are safe.
+    LOCAWARE_CHECK(!running_) << "non-worker scheduling during a parallel run";
+  } else {
+    LOCAWARE_CHECK_EQ(dst, cur) << "keyed push into another shard's queue";
+    LOCAWARE_CHECK_GE(at, shards_[cur].now) << "scheduling into the past";
+  }
+  shards_[dst].queue.PushKeyed(at, src, seq, std::move(fn));
+}
+
 SimTime ShardedSimulator::Now() const {
   const ShardId cur = tls_current_shard;
   if (cur != kNoShard && cur < shards_.size()) return shards_[cur].now;
   return controller_now_;
 }
 
-void ShardedSimulator::ReserveEvents(size_t expected_events_per_shard) {
-  for (Shard& shard : shards_) shard.queue.Reserve(expected_events_per_shard);
+void ShardedSimulator::ReserveEvents(ShardId shard, size_t expected_events) {
+  LOCAWARE_CHECK_LT(shard, shards_.size());
+  shards_[shard].queue.Reserve(expected_events);
 }
 
 uint64_t ShardedSimulator::executed_count() const {
@@ -121,6 +139,12 @@ size_t ShardedSimulator::pending_count() const {
     total += shard.queue.size();
     for (const auto& box : shard.outbox) total += box.size();
   }
+  return total;
+}
+
+size_t ShardedSimulator::queued_high_water() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) total += shard.queue.high_water();
   return total;
 }
 

@@ -142,6 +142,9 @@ struct SchedulerStats {
 ///    Violations CHECK-fail rather than silently reorder.
 ///  - Each source's events must only ever be created from one shard (the
 ///    shard owning that source's peer) — single-writer sequence counters.
+///    The one exception writes no counter: the controller may reserve a
+///    block of a source's sequence numbers (ReserveSequence) and shards
+///    then spend them on intra-shard pushes (ScheduleReserved).
 class ShardedSimulator {
  public:
   explicit ShardedSimulator(const ShardedSimulatorConfig& config);
@@ -154,6 +157,20 @@ class ShardedSimulator {
   /// source `src`. See the class comment for the phase rules.
   void ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn fn);
 
+  /// Takes the next `count` sequence numbers of source `src` and returns the
+  /// first. Controller phase only. The caller spends them through
+  /// ScheduleReserved, possibly much later and from the shard each event
+  /// belongs to — which is how the engine streams query arrivals under the
+  /// exact keys an up-front schedule would have given them.
+  uint64_t ReserveSequence(SourceId src, uint64_t count);
+
+  /// Schedules `fn` on shard `dst` under the caller-reserved key (at, src,
+  /// seq), which must come from ReserveSequence and be spent once. Writes no
+  /// sequence counter, so the single-writer rule still holds. Inside an event
+  /// handler only intra-shard pushes are allowed.
+  void ScheduleReserved(ShardId dst, SourceId src, uint64_t seq, SimTime at,
+                        EventFn fn);
+
   /// Current time: the executing shard's clock inside an event handler, the
   /// last Run()'s final time (max over shards) on the controller thread.
   SimTime Now() const;
@@ -164,8 +181,8 @@ class ShardedSimulator {
   /// joins it before returning.
   uint64_t Run(SimTime horizon = kNoHorizon);
 
-  /// Pre-allocates per-shard event-queue capacity.
-  void ReserveEvents(size_t expected_events_per_shard);
+  /// Pre-allocates shard `shard`'s event-queue capacity.
+  void ReserveEvents(ShardId shard, size_t expected_events);
 
   /// Shard the calling thread is executing events for, or kNoShard outside
   /// event execution (controller thread, tests).
@@ -182,6 +199,11 @@ class ShardedSimulator {
   uint64_t executed_count() const;
   /// Events currently queued across all shards and mailboxes.
   size_t pending_count() const;
+  /// Sum over shards of each queue's high-water mark: an upper bound on the
+  /// events ever queued at once (exact at one shard). Reporting only — it
+  /// depends on the shard count and on when mailboxes drain, so it stays
+  /// out of metric JSON.
+  size_t queued_high_water() const;
   /// Synchronization windows completed over the simulator's lifetime (0 for
   /// single-shard runs, which need none).
   uint64_t windows() const { return windows_; }

@@ -2,20 +2,46 @@
 // The properties that matter are the ones the data plane leans on: class
 // rounding and 16-byte alignment (SmallVector stores arbitrary T), free-list
 // recycling (spill buffers double, so freed ones must be reused verbatim),
-// Reserve actually pre-sizing the bump space, and the SmallVector binding
-// rules (spill into the arena, buffer provenance across set_arena/move/copy).
+// Reserve actually pre-sizing the bump space without touching its pages, and
+// the SmallVector binding rules (spill into the arena, buffer provenance
+// across set_arena/move/copy).
 #include "common/arena.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/small_vector.h"
 
+// Sanitizer runtimes manage (and may pre-touch) heap pages themselves, so
+// resident-set checks only mean something in plain builds.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define LOCAWARE_SANITIZED_BUILD 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define LOCAWARE_SANITIZED_BUILD 1
+#endif
+#endif
+
 namespace locaware {
 namespace {
+
+/// Resident set size in bytes from /proc/self/status, 0 where unavailable.
+[[maybe_unused]] int64_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtoll(line.c_str() + 6, nullptr, 10) * 1024;
+    }
+  }
+  return 0;
+}
 
 TEST(ArenaTest, AllocationsAreAlignedAndDisjoint) {
   common::Arena arena;
@@ -69,6 +95,21 @@ TEST(ArenaTest, ReservePreSizesOneBlock) {
   // A megabyte of small allocations fits without growing.
   for (int i = 0; i < (1 << 20) / 64; ++i) arena.Allocate(64);
   EXPECT_EQ(arena.num_blocks(), 1u);
+}
+
+TEST(ArenaTest, ReserveDoesNotTouchPages) {
+  // Blocks are allocated uninitialized: a reservation costs address space,
+  // and only pages that carved chunks write become resident.
+#if !defined(__linux__) || defined(LOCAWARE_SANITIZED_BUILD)
+  GTEST_SKIP() << "needs /proc/self/status and an unsanitized allocator";
+#else
+  const int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0);
+  common::Arena arena;
+  arena.Reserve(size_t{64} << 20);
+  EXPECT_GE(arena.bytes_reserved(), size_t{64} << 20);
+  EXPECT_LT(ResidentBytes() - before, int64_t{8} << 20);
+#endif
 }
 
 TEST(ArenaTest, BlocksGrowGeometrically) {

@@ -67,7 +67,6 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   original.scheduler.shards = 6;
   original.scheduler.workers = 3;
   original.scheduler.placement = sim::PlacementStrategy::kClustered;
-  original.scheduler.event_reserve_hint = 4096;
 
   auto parsed = ParseConfig(FormatConfig(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -106,16 +105,18 @@ TEST(ConfigIoTest, RoundTripNonDefaultEverything) {
   EXPECT_EQ(c.scheduler.shards, 6u);
   EXPECT_EQ(c.scheduler.workers, 3u);
   EXPECT_EQ(c.scheduler.placement, sim::PlacementStrategy::kClustered);
-  EXPECT_EQ(c.scheduler.event_reserve_hint, 4096u);
 }
 
 TEST(ConfigIoTest, FlatSchedulerKeysNoLongerParse) {
-  // The pre-SchedulerConfig flat spellings are gone, and so is the stealing
-  // switch (work stealing is always on): each is an unknown key like any
-  // typo, so it cannot silently set a scheduler.* field.
+  // The pre-SchedulerConfig flat spellings are gone, and so are the
+  // stealing switch (work stealing is always on) and the event-queue reserve
+  // hint (arrivals stream, so the queues no longer scale with the trace):
+  // each is an unknown key like any typo, so it cannot silently set a
+  // scheduler.* field.
   for (const char* line : {"shards = 4\n", "workers = 2\n", "work_stealing = false\n",
                            "event_reserve_hint = 512\n",
-                           "scheduler.work_stealing = false\n"}) {
+                           "scheduler.work_stealing = false\n",
+                           "scheduler.event_reserve_hint = 512\n"}) {
     auto parsed = ParseConfig(line);
     ASSERT_FALSE(parsed.ok()) << line;
     EXPECT_NE(parsed.status().message().find("unknown key"), std::string::npos) << line;
@@ -123,13 +124,11 @@ TEST(ConfigIoTest, FlatSchedulerKeysNoLongerParse) {
   // The scheduler.* spellings set the same fields.
   auto parsed = ParseConfig(
       "scheduler.shards = 4\n"
-      "scheduler.workers = 2\n"
-      "scheduler.event_reserve_hint = 512\n");
+      "scheduler.workers = 2\n");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const ExperimentConfig& c = parsed.ValueOrDie();
   EXPECT_EQ(c.scheduler.shards, 4u);
   EXPECT_EQ(c.scheduler.workers, 2u);
-  EXPECT_EQ(c.scheduler.event_reserve_hint, 512u);
 }
 
 TEST(ConfigIoTest, RejectsUnknownPlacement) {

@@ -326,6 +326,24 @@ TEST(EngineTest, TraceReplayReproducesGeneratedRun) {
   std::remove(path.c_str());
 }
 
+TEST(EngineTest, TraceReplayRejectsOutOfOrderSubmitTimes) {
+  // Arrivals stream in workload order, so a trace must list its queries in
+  // submission order.
+  const std::string path = ::testing::TempDir() + "/locaware_unordered_trace.txt";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("0 3 1 2000 somekeyword\n1 4 1 1000 otherkeyword\n", f);
+    std::fclose(f);
+  }
+  ExperimentConfig cfg = TinyConfig(ProtocolKind::kDicas);
+  cfg.trace_path = path;
+  auto engine = Engine::Create(cfg);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_NE(engine.status().message().find("non-decreasing"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(EngineTest, TraceReplayRejectsOutOfRangeEvents) {
   const std::string path = ::testing::TempDir() + "/locaware_bad_engine_trace.txt";
   {

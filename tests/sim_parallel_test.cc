@@ -454,6 +454,65 @@ TEST(SimParallelTest, ExecutedAndPendingCountsAggregateShards) {
   EXPECT_EQ(sim.Run(), 8u);
   EXPECT_EQ(sim.executed_count(), 8u);
   EXPECT_EQ(sim.pending_count(), 0u);
+  // Two events per queue at most, all queued before the run.
+  EXPECT_EQ(sim.queued_high_water(), 8u);
+}
+
+TEST(SimParallelTest, ReservedKeyChainsReplayAnUpFrontSchedule) {
+  // Arrivals for 8 destinations, four per instant, each instant also
+  // carrying a source-0 event scheduled before them and one from each
+  // destination's own source. Streaming the arrivals — one queued per
+  // shard, each queuing its shard's next under a reserved key — must fire
+  // everything in the order an up-front schedule does, at any shard count.
+  struct Arrival {
+    uint32_t dst;
+    SimTime at;
+  };
+  std::vector<Arrival> arrivals;
+  for (uint32_t i = 0; i < 24; ++i) {
+    arrivals.push_back({(i * 5) % 8, FromMs(10 * (i / 4))});
+  }
+
+  const auto run = [&](uint32_t shards, bool streamed) {
+    ShardedSimulator sim(Config(shards, /*sources=*/9));
+    std::vector<std::vector<int>> log(8);
+    for (const Arrival& a : arrivals) {
+      sim.ScheduleAt(a.dst % shards, 0, a.at, [&log, a] { log[a.dst].push_back(-1); });
+      sim.ScheduleAt(a.dst % shards, a.dst + 1, a.at,
+                     [&log, a] { log[a.dst].push_back(-2); });
+    }
+    std::function<void(ShardId, size_t)> queue_next;
+    if (streamed) {
+      const uint64_t base = sim.ReserveSequence(0, arrivals.size());
+      queue_next = [&, base, shards](ShardId s, size_t from) {
+        while (from < arrivals.size() && arrivals[from].dst % shards != s) ++from;
+        if (from == arrivals.size()) return;
+        const Arrival a = arrivals[from];
+        sim.ScheduleReserved(s, 0, base + from, a.at, [&, s, from, a] {
+          queue_next(s, from + 1);
+          log[a.dst].push_back(static_cast<int>(from));
+        });
+      };
+      for (ShardId s = 0; s < shards; ++s) queue_next(s, 0);
+    } else {
+      for (size_t i = 0; i < arrivals.size(); ++i) {
+        const Arrival a = arrivals[i];
+        sim.ScheduleAt(a.dst % shards, 0, a.at,
+                       [&log, a, i] { log[a.dst].push_back(static_cast<int>(i)); });
+      }
+    }
+    // Scheduled after the block: keyed behind every arrival at its instant.
+    for (uint32_t d = 0; d < 8; ++d) {
+      sim.ScheduleAt(d % shards, 0, FromMs(20), [&log, d] { log[d].push_back(100); });
+    }
+    EXPECT_EQ(sim.Run(), 3 * arrivals.size() + 8);
+    return log;
+  };
+
+  const auto baseline = run(1, /*streamed=*/false);
+  for (uint32_t shards : {1u, 2u, 4u}) {
+    EXPECT_EQ(run(shards, /*streamed=*/true), baseline) << "shards " << shards;
+  }
 }
 
 }  // namespace
