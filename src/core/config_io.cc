@@ -80,7 +80,6 @@ Result<ProtocolKind> ParseProtocolKind(const std::string& name) {
   if (v == "dicas-keys" || v == "dicaskeys") return ProtocolKind::kDicasKeys;
   if (v == "locaware") return ProtocolKind::kLocaware;
   if (v == "dht") return ProtocolKind::kDht;
-  if (v == "hybrid") return ProtocolKind::kHybrid;
   return Status::InvalidArgument("unknown protocol '" + name + "'");
 }
 
@@ -158,7 +157,7 @@ std::string FormatConfig(const ExperimentConfig& c) {
   if (c.params.selection.has_value()) {
     out << "params.selection = " << SelectionStrategyName(*c.params.selection) << "\n";
   }
-  out << "\n# chord dht (dht / hybrid protocols only)\n";
+  out << "\n# chord dht (dht protocol only)\n";
   out << "dht.successors = " << c.params.dht_successors << "\n";
   out << "dht.fingers = " << c.params.dht_fingers << "\n";
   out << "dht.republish_interval_ms = "
@@ -386,12 +385,11 @@ std::string ResultToJson(const ExperimentResult& result) {
   w.Uint(result.summary.repair_bytes);
   w.Key("churn_events");
   w.Uint(result.summary.churn_events);
-  // DHT counters exist only for the dht/hybrid protocols; emitting them
+  // DHT counters exist only for the dht protocol; emitting them
   // conditionally keeps the paper protocols' JSON byte-identical to pre-DHT
   // output.
   if (result.summary.dht_lookups != 0 || result.summary.dht_hops != 0 ||
-      result.summary.dht_store_msgs != 0 || result.summary.dht_store_bytes != 0 ||
-      result.summary.hybrid_escalations != 0) {
+      result.summary.dht_store_msgs != 0 || result.summary.dht_store_bytes != 0) {
     w.Key("dht_lookups");
     w.Uint(result.summary.dht_lookups);
     w.Key("dht_hops");
@@ -400,8 +398,6 @@ std::string ResultToJson(const ExperimentResult& result) {
     w.Uint(result.summary.dht_store_msgs);
     w.Key("dht_store_bytes");
     w.Uint(result.summary.dht_store_bytes);
-    w.Key("hybrid_escalations");
-    w.Uint(result.summary.hybrid_escalations);
   }
   w.EndObject();
 

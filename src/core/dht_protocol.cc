@@ -18,9 +18,8 @@ overlay::RecordVec DhtProtocol::AnswerFromIndex(Engine& /*engine*/, PeerId /*nod
   return {};
 }
 
-void DhtProtocol::OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query,
-                                   size_t /*fanout*/) {
-  engine.StartDhtQueryLookup(query, /*count_as_escalation=*/false);
+void DhtProtocol::OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query) {
+  engine.StartDhtQueryLookup(query);
 }
 
 }  // namespace locaware::core

@@ -28,8 +28,7 @@ class DhtProtocol final : public Protocol {
 
   /// Every submitted query starts an iterative DHT lookup on its routing
   /// keyword.
-  void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query,
-                        size_t fanout) override;
+  void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query) override;
 
   /// Location-oblivious structured baseline.
   SelectionStrategy DefaultSelection() const override {

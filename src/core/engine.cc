@@ -198,14 +198,10 @@ Status Engine::Setup() {
   }
   Rng gid_rng = root_rng_.Split("gids");
   nodes_.resize(config_.num_peers);
-  dht_family_ = config_.protocol == ProtocolKind::kDht ||
-                config_.protocol == ProtocolKind::kHybrid;
-  // kDht runs without any response index; kHybrid carries Locaware's full
-  // unstructured cache stack alongside the DHT routing state.
-  const bool caches = config_.protocol != ProtocolKind::kFlooding &&
-                      config_.protocol != ProtocolKind::kDht;
-  const bool is_locaware = config_.protocol == ProtocolKind::kLocaware ||
-                           config_.protocol == ProtocolKind::kHybrid;
+  uses_dht_ = config_.protocol == ProtocolKind::kDht;
+  // kDht runs without any response index.
+  const bool caches = config_.protocol != ProtocolKind::kFlooding && !uses_dht_;
+  const bool is_locaware = config_.protocol == ProtocolKind::kLocaware;
   for (PeerId p = 0; p < config_.num_peers; ++p) {
     NodeState& n = nodes_[p];
     n.id = p;
@@ -233,7 +229,7 @@ Status Engine::Setup() {
       n.advertised_filter = std::make_unique<bloom::BloomFilter>(
           config_.params.bloom_bits, config_.params.bloom_hashes);
     }
-    if (dht_family_) {
+    if (uses_dht_) {
       n.dht = std::make_unique<dht::RoutingState>();
       n.dht->BindArena(arena);
     }
@@ -275,7 +271,7 @@ Status Engine::Setup() {
   // churn timeline); the per-peer tables are derived against the time-0
   // online set — every peer, since churn transitions all start later (a
   // default-constructed timeline reports everyone online).
-  if (dht_family_) {
+  if (uses_dht_) {
     dht_ring_ = dht::Ring::Build(config_.num_peers);
     const auto online_at_start = [&](PeerId c) {
       return !config_.churn.enabled || churn_timeline_.IsOnlineAt(c, 0);
@@ -294,7 +290,7 @@ Status Engine::Setup() {
   // microsecond. The initial offset events come from the controller source;
   // every rescheduled tick is keyed by the node itself, keeping the tick
   // chain's tie-break order shard-count-invariant.
-  if (caches || config_.churn.enabled || dht_family_) {
+  if (caches || config_.churn.enabled || uses_dht_) {
     Rng stagger_rng = root_rng_.Split("maintenance");
     for (PeerId p = 0; p < config_.num_peers; ++p) {
       const sim::SimTime offset = static_cast<sim::SimTime>(stagger_rng.UniformInt(
@@ -403,7 +399,7 @@ void Engine::MaintenanceWork(PeerId p) {
   if (config_.protocol != ProtocolKind::kFlooding) {
     protocol_->OnMaintenanceTick(*this, p);
   }
-  if (dht_family_) DhtMaintenance(p);
+  if (uses_dht_) DhtMaintenance(p);
   if (config_.churn.enabled && graph_->Degree(p) == 0) {
     StartLinkProbes(p, 1);
   }
@@ -558,22 +554,20 @@ void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
   origin.seen_queries.insert(ev.id);
   TouchPeer(shard_of(ev.requester), ev.id, ev.requester);
 
-  const size_t fanout = ForwardQuery(ev.requester, kInvalidPeer, query);
-  // The protocol sees every query that left its origin unanswered — the
-  // DHT-backed protocols start their iterative lookup here (pure DHT always;
-  // hybrid only when the unstructured fan-out found nowhere to go).
-  protocol_->OnQuerySubmitted(*this, query, fanout);
+  ForwardQuery(ev.requester, kInvalidPeer, query);
+  // The protocol sees every query that left its origin unanswered — the DHT
+  // protocol starts its iterative lookup here.
+  protocol_->OnQuerySubmitted(*this, query);
   ScheduleFromNode(ev.requester, ev.requester, config_.params.query_deadline,
                    [this, origin_id = ev.requester, qid = ev.id] {
                      FinalizeQuery(origin_id, qid);
                    });
 }
 
-size_t Engine::ForwardQuery(PeerId node_id, PeerId from,
-                            const overlay::QueryMessage& msg) {
-  if (msg.ttl == 0) return 0;
+void Engine::ForwardQuery(PeerId node_id, PeerId from, const overlay::QueryMessage& msg) {
+  if (msg.ttl == 0) return;
   const PeerVec targets = protocol_->ForwardTargets(*this, node_id, msg, from);
-  if (targets.empty()) return 0;
+  if (targets.empty()) return;
 
   // One immutable pooled message shared by every forwarded copy: fan-out
   // costs O(targets) refcount bumps, and the node (with its keyword vector's
@@ -596,7 +590,6 @@ size_t Engine::ForwardQuery(PeerId node_id, PeerId from,
                        DeliverQuery(target, node_id, shared);
                      });
   }
-  return targets.size();
 }
 
 void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref) {
@@ -861,7 +854,7 @@ void Engine::HandleDeparture(PeerId p) {
   n.neighbor_degree.clear();
   // Routing tables, in-flight lookups and the owned keyword store die with
   // the session; republish after rejoin repopulates the ring.
-  if (dht_family_) n.dht->ResetForDeparture();
+  if (uses_dht_) n.dht->ResetForDeparture();
 }
 
 void Engine::HandleRejoin(PeerId p) {
@@ -872,7 +865,7 @@ void Engine::HandleRejoin(PeerId p) {
   // Rebuild routing tables immediately so the fresh session can route; its
   // keyword store refills via the next maintenance tick's republish
   // (last_publish was reset to the never-published sentinel at departure).
-  if (dht_family_) DhtStabilize(p);
+  if (uses_dht_) DhtStabilize(p);
 }
 
 overlay::LinkAnnounce Engine::MakeAnnounce(PeerId p, bool with_filter) {

@@ -147,14 +147,12 @@ class Engine {
   /// The immutable per-peer on/off schedule (empty unless churn is enabled).
   const overlay::ChurnTimeline& churn_timeline() const { return churn_timeline_; }
 
-  /// The immutable DHT ring order (meaningful only for dht/hybrid runs).
+  /// The immutable DHT ring order (meaningful only for dht runs).
   const dht::Ring& dht_ring() const { return dht_ring_; }
 
   /// Starts an iterative DHT lookup resolving providers for `query`'s routing
-  /// keyword, at the query's origin. Called by DhtProtocol (every query) and
-  /// HybridProtocol (on unstructured fan-out miss; counted as an escalation).
-  void StartDhtQueryLookup(const overlay::QueryMessage& query,
-                           bool count_as_escalation);
+  /// keyword, at the query's origin. Called by DhtProtocol for every query.
+  void StartDhtQueryLookup(const overlay::QueryMessage& query);
 
   /// Shard `s`'s arena — the spill source for every arena-aware container
   /// its peers own (overlay rows, file stores, response-index lists).
@@ -222,8 +220,7 @@ class Engine {
   void ScheduleArrival(sim::ShardId s, size_t from);
   void DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg);
   void DeliverResponse(PeerId to, PeerId from, overlay::ResponseMessage msg);
-  /// Returns the number of neighbors the query was forwarded to.
-  size_t ForwardQuery(PeerId node, PeerId from, const overlay::QueryMessage& msg);
+  void ForwardQuery(PeerId node, PeerId from, const overlay::QueryMessage& msg);
   void SendResponse(PeerId responder, PeerId next_hop,
                     overlay::ResponseMessage msg);
   void FinalizeQuery(PeerId origin, QueryId qid);
@@ -282,7 +279,7 @@ class Engine {
   void DeliverLinkProbe(PeerId to, const overlay::LinkProbeMessage& msg);
   void DeliverLinkAccept(PeerId to, const overlay::LinkAcceptMessage& msg);
 
-  // --- Chord DHT (engine_dht.cc; dht/hybrid protocols only) ---
+  // --- Chord DHT (engine_dht.cc; dht protocol only) ---
 
   /// Begins a store-purpose lookup routing (kw, file) to the key's owner.
   void StartDhtStore(PeerId publisher, KeywordId kw, FileId file);
@@ -344,10 +341,10 @@ class Engine {
   overlay::ChurnModel churn_model_;
   overlay::ChurnTimeline churn_timeline_;
 
-  /// True for kDht/kHybrid: peers carry RoutingState and the maintenance
-  /// tick runs stabilization + republish.
-  bool dht_family_ = false;
-  /// Immutable population-wide ring order (empty unless dht_family_).
+  /// True for kDht: peers carry RoutingState and the maintenance tick runs
+  /// stabilization + republish.
+  bool uses_dht_ = false;
+  /// Immutable population-wide ring order (empty unless uses_dht_).
   dht::Ring dht_ring_;
 
   std::vector<NodeState> nodes_;

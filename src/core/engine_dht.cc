@@ -34,12 +34,10 @@ static_assert(sizeof(overlay::DhtStoreMessage) + 2 * sizeof(void*) <=
 
 }  // namespace
 
-void Engine::StartDhtQueryLookup(const overlay::QueryMessage& query,
-                                 bool count_as_escalation) {
+void Engine::StartDhtQueryLookup(const overlay::QueryMessage& query) {
   const PeerId origin = query.origin;
   dht::RoutingState& rt = *node(origin).dht;
   metrics::MetricsCollector& collector = CollectorAt(origin);
-  if (count_as_escalation) collector.AddHybridEscalation();
   collector.AddDhtLookup();
 
   const dht::RingId key = dht::RingIdOfKey(catalog_.KeywordFnv(query.route_kw));

@@ -21,7 +21,7 @@
 
 namespace locaware::core {
 
-class LocawareProtocol : public Protocol {
+class LocawareProtocol final : public Protocol {
  public:
   using Protocol::Protocol;
 
@@ -56,10 +56,9 @@ class LocawareProtocol : public Protocol {
     return SelectionStrategy::kLocIdThenRtt;
   }
 
- protected:
+ private:
   /// Routing tier 1: neighbors of `node` (minus `from`) whose gossiped Bloom
-  /// filter matches every query keyword. Shared with HybridProtocol, whose
-  /// unstructured half is *only* this tier.
+  /// filter matches every query keyword.
   PeerVec BloomMatchedNeighbors(Engine& engine, PeerId node,
                                 const overlay::QueryMessage& query, PeerId from) const;
 

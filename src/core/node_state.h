@@ -44,7 +44,7 @@ struct NodeState {
   /// peers exchange their group Ids as well as their Bloom filters").
   FlatMap<PeerId, GroupId> neighbor_gids;
 
-  // --- Chord DHT only (dht / hybrid protocols) ---
+  // --- Chord DHT only (dht protocol) ---
   /// Successor list, finger table, owned store and in-flight lookups. Null
   /// under the four unstructured protocols.
   std::unique_ptr<dht::RoutingState> dht;

@@ -6,7 +6,6 @@
 #include "core/dicas_protocol.h"
 #include "core/engine.h"
 #include "core/flooding_protocol.h"
-#include "core/hybrid_protocol.h"
 #include "core/locaware_protocol.h"
 
 namespace locaware::core {
@@ -23,8 +22,6 @@ const char* ProtocolKindName(ProtocolKind kind) {
       return "Locaware";
     case ProtocolKind::kDht:
       return "DHT";
-    case ProtocolKind::kHybrid:
-      return "Hybrid";
   }
   return "?";
 }
@@ -32,7 +29,7 @@ const char* ProtocolKindName(ProtocolKind kind) {
 std::span<const ProtocolKind> AllProtocolKinds() {
   static constexpr ProtocolKind kAll[] = {
       ProtocolKind::kFlooding, ProtocolKind::kDicas, ProtocolKind::kDicasKeys,
-      ProtocolKind::kLocaware, ProtocolKind::kDht,   ProtocolKind::kHybrid,
+      ProtocolKind::kLocaware, ProtocolKind::kDht,
   };
   return kAll;
 }
@@ -70,10 +67,6 @@ ProtocolParams MakeDefaultParams(ProtocolKind kind) {
     case ProtocolKind::kDht:
       // Pure structured lookup: no response index at all.
       break;
-    case ProtocolKind::kHybrid:
-      // The unstructured half is Locaware's cache, same shape.
-      params.ri.max_providers_per_file = 8;
-      break;
   }
   return params;
 }
@@ -99,8 +92,7 @@ void Protocol::OnPeerDeparted(Engine& engine, PeerId node, PeerId departed) {
 }
 
 void Protocol::OnQuerySubmitted(Engine& /*engine*/,
-                                const overlay::QueryMessage& /*query*/,
-                                size_t /*fanout*/) {}
+                                const overlay::QueryMessage& /*query*/) {}
 
 std::unique_ptr<Protocol> MakeProtocol(ProtocolKind kind, const ProtocolParams& params) {
   switch (kind) {
@@ -114,8 +106,6 @@ std::unique_ptr<Protocol> MakeProtocol(ProtocolKind kind, const ProtocolParams& 
       return std::make_unique<LocawareProtocol>(params);
     case ProtocolKind::kDht:
       return std::make_unique<DhtProtocol>(params);
-    case ProtocolKind::kHybrid:
-      return std::make_unique<HybridProtocol>(params);
   }
   LOCAWARE_CHECK(false) << "unknown protocol kind";
   return nullptr;

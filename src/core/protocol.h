@@ -61,13 +61,10 @@ class Protocol {
   /// until a satisfying file is found", §4.2).
   virtual bool ForwardAfterHit() const { return false; }
 
-  /// A query left its origin without a local answer; `fanout` is how many
-  /// neighbors the unstructured forward reached (0 = the query is going
-  /// nowhere). The structured protocols use this to start/escalate a DHT
-  /// lookup; default ignores. Runs on the origin's shard, right after the
-  /// forward fan-out was scheduled.
-  virtual void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query,
-                                size_t fanout);
+  /// A query left its origin without a local answer. The DHT protocol uses
+  /// this to start its lookup; default ignores. Runs on the origin's shard,
+  /// right after the forward fan-out was scheduled.
+  virtual void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query);
 
   /// Periodic maintenance. Base implementation expires stale index entries;
   /// Locaware additionally syncs its Bloom filter and gossips deltas.

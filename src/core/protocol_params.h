@@ -10,21 +10,20 @@
 
 namespace locaware::core {
 
-/// The four systems the paper evaluates (§5.1) plus the PR 10 structured
-/// extensions (src/dht/).
+/// The four systems the paper evaluates (§5.1) plus the structured Chord
+/// baseline (src/dht/).
 enum class ProtocolKind {
   kFlooding,   ///< blind Gnutella flooding, no caching
   kDicas,      ///< Dicas [16]: filename-hash groups, single-provider indexes
   kDicasKeys,  ///< Dicas-Keys [16]: per-keyword-hash groups (duplicating)
   kLocaware,   ///< the paper's contribution (§4)
   kDht,        ///< pure Chord-style keyword->provider lookups (src/dht/)
-  kHybrid,     ///< Locaware cache first, DHT escalation on an index miss
 };
 
 const char* ProtocolKindName(ProtocolKind kind);
 
 /// Every registered protocol kind, in registry order (the paper's four, then
-/// the structured extensions). Benches/examples that sweep "all protocols"
+/// the structured DHT baseline). Benches/examples that sweep "all protocols"
 /// iterate this instead of hard-coding the list.
 std::span<const ProtocolKind> AllProtocolKinds();
 
@@ -97,7 +96,7 @@ struct ProtocolParams {
   /// by location.
   bool loc_aware_routing = false;
 
-  /// Chord DHT shape (kDht/kHybrid only; inert for the paper's four).
+  /// Chord DHT shape (kDht only; inert for the paper's four).
   /// Successor-list length: how many online clockwise neighbors a peer
   /// tracks. 4 survives the default churn model's correlated departures.
   size_t dht_successors = 4;

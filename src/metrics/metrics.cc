@@ -38,7 +38,6 @@ MetricsCollector MetricsCollector::MergeShards(
     merged.dht_hops_ += part->dht_hops_;
     merged.dht_store_msgs_ += part->dht_store_msgs_;
     merged.dht_store_bytes_ += part->dht_store_bytes_;
-    merged.hybrid_escalations_ += part->hybrid_escalations_;
   }
   merged.records_.reserve(num_slots);
   for (size_t slot = 0; slot < num_slots; ++slot) {

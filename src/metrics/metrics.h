@@ -111,7 +111,7 @@ class MetricsCollector {
   uint64_t repair_msgs() const { return repair_msgs_; }
   uint64_t repair_bytes() const { return repair_bytes_; }
 
-  // --- Chord DHT counters (kDht/kHybrid only; all-zero otherwise) ---
+  // --- Chord DHT counters (kDht only; all-zero otherwise) ---
   /// One query-driven iterative lookup started.
   void AddDhtLookup() { ++dht_lookups_; }
   uint64_t dht_lookups() const { return dht_lookups_; }
@@ -129,11 +129,6 @@ class MetricsCollector {
   }
   uint64_t dht_store_msgs() const { return dht_store_msgs_; }
   uint64_t dht_store_bytes() const { return dht_store_bytes_; }
-
-  /// Hybrid-protocol queries that missed the cache path and escalated to the
-  /// DHT.
-  void AddHybridEscalation() { ++hybrid_escalations_; }
-  uint64_t hybrid_escalations() const { return hybrid_escalations_; }
 
   /// Parallel-scheduler counters the engine copies in after a run: windows
   /// and steals are deterministic functions of (config, seed, shards,
@@ -162,7 +157,6 @@ class MetricsCollector {
   uint64_t dht_hops_ = 0;
   uint64_t dht_store_msgs_ = 0;
   uint64_t dht_store_bytes_ = 0;
-  uint64_t hybrid_escalations_ = 0;
   uint64_t scheduler_windows_ = 0;
   uint64_t scheduler_steals_ = 0;
   uint64_t scheduler_idle_ns_ = 0;

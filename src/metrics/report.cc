@@ -118,7 +118,6 @@ Summary Summarize(const MetricsCollector& collector) {
   s.dht_hops = collector.dht_hops();
   s.dht_store_msgs = collector.dht_store_msgs();
   s.dht_store_bytes = collector.dht_store_bytes();
-  s.hybrid_escalations = collector.hybrid_escalations();
   s.scheduler_windows = collector.scheduler_windows();
   s.scheduler_steals = collector.scheduler_steals();
   s.scheduler_idle_ns = collector.scheduler_idle_ns();

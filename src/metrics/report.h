@@ -45,14 +45,13 @@ struct Summary {
   uint64_t repair_bytes = 0;
   uint64_t churn_events = 0;
 
-  /// Chord DHT counters (kDht/kHybrid only; all-zero otherwise). Emitted in
+  /// Chord DHT counters (kDht only; all-zero otherwise). Emitted in
   /// the metric JSON only when nonzero, so the paper protocols' serialized
   /// output is unchanged byte for byte.
   uint64_t dht_lookups = 0;
   uint64_t dht_hops = 0;
   uint64_t dht_store_msgs = 0;
   uint64_t dht_store_bytes = 0;
-  uint64_t hybrid_escalations = 0;
 
   /// Time from submission to the first response, over queries that got one.
   double first_response_ms_p50 = 0.0;

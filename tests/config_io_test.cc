@@ -217,19 +217,17 @@ TEST(ParseProtocolKindTest, AllNamesAndCases) {
   EXPECT_EQ(ParseProtocolKind("Locaware").ValueOrDie(), ProtocolKind::kLocaware);
   EXPECT_EQ(ParseProtocolKind("dht").ValueOrDie(), ProtocolKind::kDht);
   EXPECT_EQ(ParseProtocolKind("DHT").ValueOrDie(), ProtocolKind::kDht);
-  EXPECT_EQ(ParseProtocolKind("Hybrid").ValueOrDie(), ProtocolKind::kHybrid);
+  EXPECT_FALSE(ParseProtocolKind("hybrid").ok());
   EXPECT_FALSE(ParseProtocolKind("napster").ok());
 }
 
 TEST(ConfigIoTest, DhtProtocolsRoundTripThroughSerialization) {
-  for (ProtocolKind kind : {ProtocolKind::kDht, ProtocolKind::kHybrid}) {
-    ExperimentConfig original = MakePaperConfig(kind, 50, 11);
-    original.params.dht_republish_interval = 90 * sim::kSecond;
-    auto parsed = ParseConfig(FormatConfig(original));
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed.ValueOrDie().protocol, kind);
-    EXPECT_EQ(parsed.ValueOrDie().params.dht_republish_interval, 90 * sim::kSecond);
-  }
+  ExperimentConfig original = MakePaperConfig(ProtocolKind::kDht, 50, 11);
+  original.params.dht_republish_interval = 90 * sim::kSecond;
+  auto parsed = ParseConfig(FormatConfig(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.ValueOrDie().protocol, ProtocolKind::kDht);
+  EXPECT_EQ(parsed.ValueOrDie().params.dht_republish_interval, 90 * sim::kSecond);
 }
 
 TEST(ParseSelectionStrategyTest, AllNames) {

@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "core/config_io.h"
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "dht/ring.h"
@@ -254,7 +256,6 @@ TEST(DhtEngineTest, PureDhtResolvesQueriesThroughLookups) {
   // publishes moved store bytes.
   EXPECT_GT(s.dht_lookups, 150u);
   EXPECT_LE(s.dht_lookups, 200u);
-  EXPECT_EQ(s.hybrid_escalations, 0u);
   EXPECT_GT(s.dht_store_msgs, 0u);
   EXPECT_GT(s.dht_store_bytes, s.dht_store_msgs * 23);  // above header floor
   EXPECT_GT(s.success_rate, 0.5);  // structured lookup finds published keys
@@ -263,21 +264,7 @@ TEST(DhtEngineTest, PureDhtResolvesQueriesThroughLookups) {
             2.0 * std::log2(150.0));
 }
 
-TEST(HybridEngineTest, EscalatesExactlyOnCacheMisses) {
-  auto e = std::move(core::Engine::Create(SmallConfig(core::ProtocolKind::kHybrid, 7)))
-               .ValueOrDie();
-  e->Run();
-  const metrics::Summary s = metrics::Summarize(e->metrics());
-  // Hybrid only enters the DHT when the Locaware bloom plane has no target,
-  // so lookups and escalations are the same counter — and with a cold cache
-  // at the start of the run, some queries must have escalated.
-  EXPECT_EQ(s.dht_lookups, s.hybrid_escalations);
-  EXPECT_GT(s.hybrid_escalations, 0u);
-  EXPECT_LT(s.hybrid_escalations, 200u);  // ...but the cache plane answers some
-  EXPECT_GT(s.success_rate, 0.5);
-}
-
-TEST(HybridEngineTest, PaperProtocolsNeverTouchDhtCounters) {
+TEST(DhtEngineTest, PaperProtocolsNeverTouchDhtCounters) {
   for (core::ProtocolKind kind :
        {core::ProtocolKind::kFlooding, core::ProtocolKind::kLocaware}) {
     auto e = std::move(core::Engine::Create(SmallConfig(kind, 7))).ValueOrDie();
@@ -287,8 +274,37 @@ TEST(HybridEngineTest, PaperProtocolsNeverTouchDhtCounters) {
     EXPECT_EQ(s.dht_hops, 0u);
     EXPECT_EQ(s.dht_store_msgs, 0u);
     EXPECT_EQ(s.dht_store_bytes, 0u);
-    EXPECT_EQ(s.hybrid_escalations, 0u);
   }
+}
+
+/// Keys of the metric JSON's flat "summary" object.
+std::set<std::string> SummaryKeys(const std::string& json) {
+  const size_t open = json.find('{', json.find("\"summary\""));
+  const size_t close = json.find('}', open);
+  std::set<std::string> keys;
+  for (size_t at = json.find('"', open); at < close; at = json.find('"', at)) {
+    const size_t end = json.find('"', at + 1);
+    if (json.compare(end + 1, 1, ":") == 0) {
+      keys.insert(json.substr(at + 1, end - at - 1));
+    }
+    at = end + 1;
+  }
+  return keys;
+}
+
+TEST(DhtEngineTest, ResultToJsonCarriesExactlyTheFourDhtCounters) {
+  auto run = [](core::ProtocolKind kind) {
+    auto result = core::RunExperiment(SmallConfig(kind, 7));
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return SummaryKeys(core::ResultToJson(result.ValueOrDie()));
+  };
+  const std::set<std::string> locaware = run(core::ProtocolKind::kLocaware);
+  std::set<std::string> dht_only = run(core::ProtocolKind::kDht);
+  for (const std::string& key : locaware) dht_only.erase(key);
+  const std::set<std::string> dht_keys = {"dht_lookups", "dht_hops", "dht_store_msgs",
+                                          "dht_store_bytes"};
+  EXPECT_EQ(dht_only, dht_keys);
+  for (const std::string& key : dht_keys) EXPECT_EQ(locaware.count(key), 0u) << key;
 }
 
 }  // namespace

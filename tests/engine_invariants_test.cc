@@ -126,7 +126,6 @@ TEST_P(EngineInvariantsTest, IndexContentsRespectProtocolRules) {
           break;
         }
         case ProtocolKind::kLocaware:
-        case ProtocolKind::kHybrid:  // hybrid's cache plane is Locaware's
           EXPECT_EQ(GroupOfSetFnv(e->catalog().FileSetFnv(f), e->params().num_groups),
                     n.gid)
               << "peer " << p << " file " << f;
@@ -148,9 +147,7 @@ TEST_P(EngineInvariantsTest, IndexContentsRespectProtocolRules) {
 
 TEST_P(EngineInvariantsTest, LocawareBloomStaysConsistent) {
   const SweepParam param = GetParam();
-  if (param.kind != ProtocolKind::kLocaware && param.kind != ProtocolKind::kHybrid) {
-    GTEST_SKIP();
-  }
+  if (param.kind != ProtocolKind::kLocaware) GTEST_SKIP();
   auto e = std::move(Engine::Create(Config(param))).ValueOrDie();
   e->Run();
   for (PeerId p = 0; p < e->num_peers(); ++p) {
@@ -216,9 +213,7 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{ProtocolKind::kLocaware, 2, false},
                       SweepParam{ProtocolKind::kLocaware, 3, true},
                       SweepParam{ProtocolKind::kDht, 1, false},
-                      SweepParam{ProtocolKind::kDht, 2, true},
-                      SweepParam{ProtocolKind::kHybrid, 1, false},
-                      SweepParam{ProtocolKind::kHybrid, 2, true}),
+                      SweepParam{ProtocolKind::kDht, 2, true}),
     ParamName);
 
 }  // namespace

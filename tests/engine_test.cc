@@ -416,8 +416,7 @@ TEST_P(AllProtocolsTest, ChurnVariantAlsoCompletes) {
 INSTANTIATE_TEST_SUITE_P(Kinds, AllProtocolsTest,
                          ::testing::Values(ProtocolKind::kFlooding, ProtocolKind::kDicas,
                                            ProtocolKind::kDicasKeys,
-                                           ProtocolKind::kLocaware, ProtocolKind::kDht,
-                                           ProtocolKind::kHybrid),
+                                           ProtocolKind::kLocaware, ProtocolKind::kDht),
                          [](const auto& info) {
                            std::string name = ProtocolKindName(info.param);
                            return name == "Dicas-Keys" ? "DicasKeys" : name;
@@ -494,8 +493,7 @@ TEST_P(ShardInvarianceTest, OddShardCountAlsoMatches) {
 INSTANTIATE_TEST_SUITE_P(Kinds, ShardInvarianceTest,
                          ::testing::Values(ProtocolKind::kFlooding, ProtocolKind::kDicas,
                                            ProtocolKind::kDicasKeys,
-                                           ProtocolKind::kLocaware, ProtocolKind::kDht,
-                                           ProtocolKind::kHybrid),
+                                           ProtocolKind::kLocaware, ProtocolKind::kDht),
                          [](const auto& info) {
                            std::string name = ProtocolKindName(info.param);
                            return name == "Dicas-Keys" ? "DicasKeys" : name;
@@ -580,8 +578,7 @@ TEST_P(SkewedShardInvarianceTest, OverDecomposedShardsMatchSequentialPerQuery) {
 INSTANTIATE_TEST_SUITE_P(Kinds, SkewedShardInvarianceTest,
                          ::testing::Values(ProtocolKind::kFlooding, ProtocolKind::kDicas,
                                            ProtocolKind::kDicasKeys,
-                                           ProtocolKind::kLocaware, ProtocolKind::kDht,
-                                           ProtocolKind::kHybrid),
+                                           ProtocolKind::kLocaware, ProtocolKind::kDht),
                          [](const auto& info) {
                            std::string name = ProtocolKindName(info.param);
                            return name == "Dicas-Keys" ? "DicasKeys" : name;
@@ -669,8 +666,7 @@ TEST_P(PlacementShardInvarianceTest, ClusteredMatchesSequentialModuloPerQuery) {
 INSTANTIATE_TEST_SUITE_P(Kinds, PlacementShardInvarianceTest,
                          ::testing::Values(ProtocolKind::kFlooding, ProtocolKind::kDicas,
                                            ProtocolKind::kDicasKeys,
-                                           ProtocolKind::kLocaware, ProtocolKind::kDht,
-                                           ProtocolKind::kHybrid),
+                                           ProtocolKind::kLocaware, ProtocolKind::kDht),
                          [](const auto& info) {
                            std::string name = ProtocolKindName(info.param);
                            return name == "Dicas-Keys" ? "DicasKeys" : name;
@@ -804,8 +800,7 @@ TEST_P(ChurnShardInvarianceTest, OddShardCountAlsoMatches) {
 INSTANTIATE_TEST_SUITE_P(Kinds, ChurnShardInvarianceTest,
                          ::testing::Values(ProtocolKind::kFlooding, ProtocolKind::kDicas,
                                            ProtocolKind::kDicasKeys,
-                                           ProtocolKind::kLocaware, ProtocolKind::kDht,
-                                           ProtocolKind::kHybrid),
+                                           ProtocolKind::kLocaware, ProtocolKind::kDht),
                          [](const auto& info) {
                            std::string name = ProtocolKindName(info.param);
                            return name == "Dicas-Keys" ? "DicasKeys" : name;
