@@ -35,11 +35,12 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 3; ++i) {
     best_baseline = std::min(best_baseline, results[i].summary.avg_download_ms);
   }
-  const double reduction =
-      (1.0 - locaware.summary.avg_download_ms / best_baseline) * 100.0;
-  std::printf("\nheadline: Locaware download distance vs best baseline: -%.1f%%"
-              " (paper: ~14%%)\n",
-              reduction);
+  // Signed change, so a seed where Locaware loses prints "+x%", not "--x%".
+  const double change =
+      (locaware.summary.avg_download_ms / best_baseline - 1.0) * 100.0;
+  std::printf("\nheadline: Locaware download distance vs best baseline: %+.1f%%"
+              " (paper: ~-14%%)\n",
+              change);
   if (locaware.series.size() >= 2) {
     const double first = locaware.series.front().avg_download_ms;
     const double last = locaware.series.back().avg_download_ms;

@@ -1,13 +1,45 @@
 // Microbenchmarks for the Bloom-filter subsystem: the per-query cost of
-// Locaware's routing checks and the per-update cost of delta gossip.
+// Locaware's routing checks, the per-update cost of delta gossip, and the
+// bytes one peer's filter set holds.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "bloom/bloom_delta.h"
 #include "bloom/bloom_filter.h"
 #include "bloom/counting_bloom.h"
+#include "common/flat_map.h"
+#include "common/types.h"
+
+// --- heap accounting ---------------------------------------------------------
+// Bench-binary-wide operator new/delete overrides tracking live heap bytes
+// (the allocator's usable block sizes); BM_PeerFilterSetFootprint reports the
+// delta around building one peer's filters.
+namespace {
+thread_local int64_t g_live_bytes = 0;
+
+void CountFree(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes -= static_cast<int64_t>(malloc_usable_size(p));
+  std::free(p);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = std::malloc(size)) {
+    g_live_bytes += static_cast<int64_t>(malloc_usable_size(p));
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { CountFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountFree(p); }
 
 namespace {
 
@@ -102,5 +134,24 @@ void BM_DeltaApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeltaApply);
+
+void BM_PeerFilterSetFootprint(benchmark::State& state) {
+  // One Locaware peer's Bloom state at the paper's 1200 bits: the counting
+  // filter, the advertised filter, and 3 neighbors' filter copies in a
+  // neighbor table (the engine's NodeState layout). Heap-backed: the engine
+  // carves the table from its shard arena, in a power-of-two chunk.
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const int64_t before = g_live_bytes;
+    auto counting = std::make_unique<CountingBloomFilter>(1200, 4);
+    auto advertised = std::make_unique<BloomFilter>(1200, 4);
+    locaware::FlatMap<locaware::PeerId, BloomFilter> neighbors;
+    for (locaware::PeerId nb = 0; nb < 3; ++nb) neighbors.try_emplace(nb, 1200, 4);
+    bytes = g_live_bytes - before;
+    benchmark::DoNotOptimize(neighbors);
+  }
+  state.counters["bytes/peer"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_PeerFilterSetFootprint);
 
 }  // namespace

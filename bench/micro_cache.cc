@@ -7,31 +7,44 @@
 // the allocator at all. Every benchmark therefore reports an `allocs/op`
 // counter next to its time: the small-vector win is that number pinned at
 // ~0 on the hot paths (the string/vector era paid several per insert).
+// BM_IndexFootprint weighs what an index holds per cached file.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cstddef>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "cache/response_index.h"
 
 // --- allocation accounting ---------------------------------------------------
-// Bench-binary-wide operator new/delete overrides with a thread-local
-// counter. Only deltas around measured regions are reported, so the
-// benchmark harness's own allocations outside the loop do not pollute the
-// numbers.
+// Bench-binary-wide operator new/delete overrides with thread-local
+// counters: allocation calls, and live bytes as the allocator's usable block
+// sizes. Only deltas around measured regions are reported, so the benchmark
+// harness's own allocations outside the loop do not pollute the numbers.
 namespace {
 thread_local uint64_t g_alloc_count = 0;
+thread_local int64_t g_live_bytes = 0;
+
+void CountFree(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes -= static_cast<int64_t>(malloc_usable_size(p));
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
   ++g_alloc_count;
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size)) {
+    g_live_bytes += static_cast<int64_t>(malloc_usable_size(p));
+    return p;
+  }
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountFree(p); }
 
 namespace {
 
@@ -210,5 +223,30 @@ void BM_SteadyStateChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SteadyStateChurn);
+
+void BM_IndexFootprint(benchmark::State& state) {
+  // Heap bytes per cached file for an index holding range(0) files with one
+  // provider each — the object, its entry storage, the slot and posting
+  // tables. Most peers cache a handful of files, so the small rows are the
+  // ones peak RSS feels. Heap-backed (no arena): bytes are the allocator's
+  // usable block sizes, where an arena would round to powers of two.
+  const size_t files = static_cast<size_t>(state.range(0));
+  const Corpus corpus = MakeCorpus(files);
+  ResponseIndexConfig cfg;
+  cfg.max_filenames = 50;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    const int64_t before = g_live_bytes;
+    auto ri = std::make_unique<ResponseIndex>(cfg);
+    for (size_t f = 0; f < files; ++f) {
+      ri->AddProvider(corpus.files[f], corpus.keywords[f], ProviderEntry{1, 0, 0}, 0);
+    }
+    bytes = g_live_bytes - before;
+    benchmark::DoNotOptimize(ri);
+  }
+  state.counters["bytes/entry"] =
+      static_cast<double>(bytes) / static_cast<double>(files);
+}
+BENCHMARK(BM_IndexFootprint)->Arg(1)->Arg(3)->Arg(50);
 
 }  // namespace

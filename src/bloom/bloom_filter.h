@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,11 +15,23 @@
 
 namespace locaware::bloom {
 
+/// The i-th probe position of a key in an m-bit filter — the single
+/// definition of the Kirsch–Mitzenmacher indexing rule. Every insert/lookup
+/// path (plain and counting) goes through it, so the bit and counter layouts
+/// can never diverge.
+inline uint32_t ProbePosition(const KeyHash128& key, size_t i, size_t num_bits) {
+  return static_cast<uint32_t>((key.h1 + i * key.h2) % num_bits);
+}
+
 /// \brief Fixed-size Bloom filter over byte strings.
 ///
 /// Uses Kirsch–Mitzenmacher double hashing: the i-th probe position is
 /// (h1 + i*h2) mod m with (h1, h2) the two halves of one 128-bit Murmur3
 /// pass — k index computations from a single hash of the key.
+///
+/// A filter is its words plus a 4+4-byte shape (16 bytes inline, one heap
+/// block of ceil(m/64) words): every Locaware peer holds one copy per
+/// neighbor, so the header is paid once per overlay half-link.
 class BloomFilter {
  public:
   /// \param num_bits   filter width m (> 0). The paper uses 1200 bits.
@@ -26,6 +39,11 @@ class BloomFilter {
   ///                    paper's ~150 keywords in 1200 bits (m/n ≈ 8 → k ≈ 5.5;
   ///                    4 keeps updates sparse).
   BloomFilter(size_t num_bits, size_t num_hashes);
+
+  BloomFilter(const BloomFilter& other);
+  BloomFilter& operator=(const BloomFilter& other);
+  BloomFilter(BloomFilter&&) noexcept = default;
+  BloomFilter& operator=(BloomFilter&&) noexcept = default;
 
   /// Inserts a key.
   void Insert(std::string_view key);
@@ -64,28 +82,25 @@ class BloomFilter {
   /// mismatch. This is the payload of an incremental neighbor update.
   std::vector<uint32_t> DiffPositions(const BloomFilter& other) const;
 
-  /// The i-th probe position for a key — the single definition of the
-  /// Kirsch–Mitzenmacher indexing rule; every insert/lookup path (plain and
-  /// counting) goes through it so the bit and counter layouts can never
-  /// diverge.
-  uint32_t ProbePosition(const KeyHash128& key, size_t i) const {
-    return static_cast<uint32_t>((key.h1 + i * key.h2) % num_bits_);
-  }
-
-  /// The k probe positions for a key (exposed so CountingBloomFilter and the
-  /// tests use identical indexing).
+  /// The k probe positions for a key (exposed so tests can mirror the
+  /// indexing).
   std::vector<uint32_t> ProbePositions(std::string_view key) const;
   std::vector<uint32_t> ProbePositions(const KeyHash128& key) const;
 
-  bool operator==(const BloomFilter& other) const = default;
+  bool operator==(const BloomFilter& other) const;
 
   /// Debug rendering "m=1200 k=4 ones=87 fill=7.3%".
   std::string Describe() const;
 
  private:
-  size_t num_bits_;
-  size_t num_hashes_;
-  std::vector<uint64_t> words_;
+  // The counting filter derives its projection straight into these words.
+  friend class CountingBloomFilter;
+
+  size_t num_words() const { return (num_bits_ + 63) / 64; }
+
+  std::unique_ptr<uint64_t[]> words_;
+  uint32_t num_bits_;
+  uint32_t num_hashes_;
 };
 
 /// Optimal k for a filter of m bits expected to hold n keys: round(m/n · ln 2).

@@ -23,15 +23,48 @@ ResponseIndex::ResponseIndex(const ResponseIndexConfig& config)
     : config_(config), eviction_rng_state_(config.eviction_seed | 1) {
   LOCAWARE_CHECK_GT(config.max_filenames, 0u);
   LOCAWARE_CHECK_GT(config.max_providers_per_file, 0u);
-  // The tables draw their flat buffers from the same arena as the per-entry
-  // spill vectors. Deliberately NOT pre-sized to max_filenames: an Entry slot
-  // is fat (inline keyword/provider SmallVectors), the engine builds one
-  // index per peer, and most peers' caches stay far below capacity — eager
-  // full-capacity buffers cost hundreds of MB of cold arena pages at 10k
-  // peers (measured 3x engine slowdown). Growth is amortized and the
-  // discarded power-of-two buffers recycle through the arena's free lists.
+  // The entry array and the tables draw their buffers from the same arena as
+  // the per-entry spill vectors. Deliberately NOT pre-sized to
+  // max_filenames: an Entry is fat (inline keyword/provider SmallVectors),
+  // the engine builds one index per peer, and most peers' caches stay far
+  // below capacity — eager full-capacity buffers cost hundreds of MB of cold
+  // arena pages at 10k peers (measured 3x engine slowdown). Growth is
+  // amortized and the discarded power-of-two buffers recycle through the
+  // arena's free lists.
   entries_.set_arena(config_.arena);
+  slot_of_.set_arena(config_.arena);
   inverted_.set_arena(config_.arena);
+}
+
+uint32_t ResponseIndex::SlotOf(FileId file) const {
+  auto it = slot_of_.find(file);
+  return it == slot_of_.end() ? kNoSlot : it->second;
+}
+
+void ResponseIndex::LinkAtBack(uint32_t slot) {
+  Entry& e = entries_[slot];
+  e.prev = use_tail_;
+  e.next = kNoSlot;
+  if (use_tail_ != kNoSlot) {
+    entries_[use_tail_].next = slot;
+  } else {
+    use_head_ = slot;
+  }
+  use_tail_ = slot;
+}
+
+void ResponseIndex::Unlink(uint32_t slot) {
+  Entry& e = entries_[slot];
+  if (e.prev != kNoSlot) {
+    entries_[e.prev].next = e.next;
+  } else {
+    use_head_ = e.next;
+  }
+  if (e.next != kNoSlot) {
+    entries_[e.next].prev = e.prev;
+  } else {
+    use_tail_ = e.prev;
+  }
 }
 
 void ResponseIndex::AddPostings(FileId file, std::span<const KeywordId> keywords) {
@@ -66,23 +99,25 @@ ResponseIndex::UpdateOutcome ResponseIndex::AddProvider(
       << "AddProvider keywords must be deduplicated";
   UpdateOutcome outcome;
 
-  auto it = entries_.find(file);
-  if (it == entries_.end()) {
+  uint32_t slot = SlotOf(file);
+  if (slot == kNoSlot) {
     while (entries_.size() >= config_.max_filenames) EvictOne(&outcome.evicted);
-    use_order_.push_back(file);
     Entry fresh;
+    fresh.file = file;
     fresh.keywords.set_arena(config_.arena);
     fresh.providers.set_arena(config_.arena);
     fresh.keywords.assign(sorted_keywords.begin(), sorted_keywords.end());
-    fresh.use_pos = std::prev(use_order_.end());
-    it = entries_.try_emplace(file, std::move(fresh)).first;
-    AddPostings(file, it->second.keywords);
+    entries_.push_back(std::move(fresh));
+    slot = static_cast<uint32_t>(entries_.size() - 1);
+    slot_of_.try_emplace(file, slot);
+    LinkAtBack(slot);
+    AddPostings(file, entries_[slot].keywords);
     outcome.file_inserted = true;
   } else {
-    Touch(file, &it->second);
+    Touch(slot);
   }
 
-  Entry& e = it->second;
+  Entry& e = entries_[slot];
   // Refresh an existing provider: drop its old slot, re-insert at front.
   auto existing = std::find_if(e.providers.begin(), e.providers.end(),
                                [&](const ProviderEntry& p) {
@@ -136,9 +171,7 @@ std::vector<ResponseIndex::Hit> ResponseIndex::LookupByKeywords(
     // as the string-era semantics. Sorted file order, not table order: the
     // hit list feeds provider selection, so iteration order is observable.
     for (FileId file : Files()) {
-      auto it = entries_.find(file);
-      LOCAWARE_CHECK(it != entries_.end());
-      ProviderVec live = LiveProviders(it->second, now);
+      ProviderVec live = LiveProviders(entries_[SlotOf(file)], now);
       if (!live.empty()) hits.push_back(Hit{file, std::move(live)});
     }
   } else {
@@ -151,20 +184,15 @@ std::vector<ResponseIndex::Hit> ResponseIndex::LookupByKeywords(
         });
     if (seed != nullptr) {
       for (FileId file : *seed) {
-        auto it = entries_.find(file);
-        LOCAWARE_CHECK(it != entries_.end());
-        if (!ContainsAllIds(it->second.keywords, sorted_query)) continue;
-        ProviderVec live = LiveProviders(it->second, now);
+        const Entry& entry = entries_[SlotOf(file)];
+        if (!ContainsAllIds(entry.keywords, sorted_query)) continue;
+        ProviderVec live = LiveProviders(entry, now);
         if (live.empty()) continue;
         hits.push_back(Hit{file, std::move(live)});
       }
     }
   }
-  for (Hit& h : hits) {
-    auto it = entries_.find(h.file);
-    LOCAWARE_CHECK(it != entries_.end());
-    Touch(h.file, &it->second);
-  }
+  for (const Hit& h : hits) Touch(SlotOf(h.file));
   if (!hits.empty()) ++stats_.hits;
   return hits;
 }
@@ -172,11 +200,11 @@ std::vector<ResponseIndex::Hit> ResponseIndex::LookupByKeywords(
 std::optional<ResponseIndex::Hit> ResponseIndex::LookupFile(FileId file,
                                                             sim::SimTime now) {
   ++stats_.lookups;
-  auto it = entries_.find(file);
-  if (it == entries_.end()) return std::nullopt;
-  ProviderVec live = LiveProviders(it->second, now);
+  const uint32_t slot = SlotOf(file);
+  if (slot == kNoSlot) return std::nullopt;
+  ProviderVec live = LiveProviders(entries_[slot], now);
   if (live.empty()) return std::nullopt;
-  Touch(file, &it->second);
+  Touch(slot);
   ++stats_.hits;
   return Hit{file, std::move(live)};
 }
@@ -190,11 +218,10 @@ std::vector<ResponseIndex::EvictedFile> ResponseIndex::ExpireStale(sim::SimTime 
   // sweep a pure function of the index's *contents*, whatever container
   // backs it.
   for (FileId file : Files()) {
-    auto it = entries_.find(file);
-    LOCAWARE_CHECK(it != entries_.end());
-    if (PruneStale(&it->second, now)) continue;
-    removed.push_back(EvictedFile{file, std::move(it->second.keywords)});
-    EraseIt(it, removed.back().keywords);
+    const uint32_t slot = SlotOf(file);
+    if (PruneStale(&entries_[slot], now)) continue;
+    removed.push_back(EvictedFile{file, std::move(entries_[slot].keywords)});
+    EraseSlot(slot, removed.back().keywords);
   }
   return removed;
 }
@@ -205,9 +232,8 @@ std::vector<ResponseIndex::EvictedFile> ResponseIndex::RemoveProvider(
   // Same collect-and-sort rule as ExpireStale: act in sorted key order, never
   // table order.
   for (FileId file : Files()) {
-    auto it = entries_.find(file);
-    LOCAWARE_CHECK(it != entries_.end());
-    ProviderVec& providers = it->second.providers;
+    const uint32_t slot = SlotOf(file);
+    ProviderVec& providers = entries_[slot].providers;
     auto pos = std::find_if(providers.begin(), providers.end(),
                             [&](const ProviderEntry& p) {
                               return p.provider == provider;
@@ -216,84 +242,95 @@ std::vector<ResponseIndex::EvictedFile> ResponseIndex::RemoveProvider(
     providers.erase(pos);
     ++stats_.invalidations;
     if (providers.empty()) {
-      removed.push_back(EvictedFile{file, std::move(it->second.keywords)});
-      EraseIt(it, removed.back().keywords);
+      removed.push_back(EvictedFile{file, std::move(entries_[slot].keywords)});
+      EraseSlot(slot, removed.back().keywords);
     }
   }
   return removed;
 }
 
-void ResponseIndex::EraseIt(EntryMap::iterator it) {
-  EraseIt(it, it->second.keywords);
-}
-
-void ResponseIndex::EraseIt(EntryMap::iterator it,
-                            std::span<const KeywordId> keywords) {
-  RemovePostings(it->first, keywords);
-  use_order_.erase(it->second.use_pos);
-  entries_.erase(it);
+void ResponseIndex::EraseSlot(uint32_t slot, std::span<const KeywordId> keywords) {
+  const FileId file = entries_[slot].file;
+  RemovePostings(file, keywords);
+  Unlink(slot);
+  slot_of_.erase(file);
+  const uint32_t last = static_cast<uint32_t>(entries_.size() - 1);
+  if (slot != last) {
+    // Fill the hole with the last entry and repoint everything naming it.
+    Entry& moved = entries_[slot];
+    moved = std::move(entries_[last]);
+    if (moved.prev != kNoSlot) {
+      entries_[moved.prev].next = slot;
+    } else {
+      use_head_ = slot;
+    }
+    if (moved.next != kNoSlot) {
+      entries_[moved.next].prev = slot;
+    } else {
+      use_tail_ = slot;
+    }
+    slot_of_.at(moved.file) = slot;
+  }
+  entries_.pop_back();
 }
 
 bool ResponseIndex::Erase(FileId file) {
-  auto it = entries_.find(file);
-  if (it == entries_.end()) return false;
-  EraseIt(it);
+  const uint32_t slot = SlotOf(file);
+  if (slot == kNoSlot) return false;
+  EraseSlot(slot, entries_[slot].keywords);
   return true;
 }
 
-bool ResponseIndex::Contains(FileId file) const { return entries_.contains(file); }
+bool ResponseIndex::Contains(FileId file) const { return slot_of_.contains(file); }
 
 size_t ResponseIndex::TotalProviderCount() const {
   size_t total = 0;
-  for (const auto& [file, entry] : entries_) total += entry.providers.size();
+  for (const Entry& entry : entries_) total += entry.providers.size();
   return total;
 }
 
 std::vector<FileId> ResponseIndex::Files() const {
   std::vector<FileId> out;
   out.reserve(entries_.size());
-  for (const auto& [file, entry] : entries_) out.push_back(file);
-  // Sorted, not table order: callers act on this list (sweeps, reports), and
-  // the backing table's layout must never leak into observable behavior.
+  for (const Entry& entry : entries_) out.push_back(entry.file);
+  // Sorted, not slot order: callers act on this list (sweeps, reports), and
+  // the storage layout must never leak into observable behavior.
   std::sort(out.begin(), out.end());
   return out;
 }
 
 const KeywordVec& ResponseIndex::KeywordsOf(FileId file) const {
-  auto it = entries_.find(file);
-  LOCAWARE_CHECK(it != entries_.end()) << "KeywordsOf(" << file << ") absent";
-  return it->second.keywords;
+  const uint32_t slot = SlotOf(file);
+  LOCAWARE_CHECK(slot != kNoSlot) << "KeywordsOf(" << file << ") absent";
+  return entries_[slot].keywords;
 }
 
-void ResponseIndex::Touch(FileId /*file*/, Entry* entry) {
+void ResponseIndex::Touch(uint32_t slot) {
   if (config_.eviction != EvictionPolicy::kLru) return;  // FIFO/random ignore use
-  // Splice relocates the existing node (no realloc, iterator stays valid) —
-  // the LRU refresh on every lookup and insert is allocation-free.
-  use_order_.splice(use_order_.end(), use_order_, entry->use_pos);
+  if (slot == use_tail_) return;
+  Unlink(slot);
+  LinkAtBack(slot);
 }
 
 void ResponseIndex::EvictOne(std::vector<EvictedFile>* evicted) {
   LOCAWARE_CHECK(!entries_.empty());
-  FileId victim = kInvalidFile;
+  uint32_t victim = use_head_;  // LRU and FIFO both pop the front
   if (config_.eviction == EvictionPolicy::kRandom) {
     // xorshift64* steps a private generator; cheap and reproducible.
     eviction_rng_state_ ^= eviction_rng_state_ >> 12;
     eviction_rng_state_ ^= eviction_rng_state_ << 25;
     eviction_rng_state_ ^= eviction_rng_state_ >> 27;
     const uint64_t r = eviction_rng_state_ * 0x2545F4914F6CDD1DULL;
-    size_t idx = static_cast<size_t>(r % entries_.size());
-    auto it = use_order_.begin();
-    std::advance(it, idx);
-    victim = *it;
-  } else {
-    victim = use_order_.front();  // LRU and FIFO both pop the front
+    // The idx-th file in use order, walked from the head.
+    for (size_t idx = static_cast<size_t>(r % entries_.size()); idx > 0; --idx) {
+      victim = entries_[victim].next;
+    }
   }
-  auto entry_it = entries_.find(victim);
-  LOCAWARE_CHECK(entry_it != entries_.end());
   // Keywords are moved into the eviction report first, so posting removal
   // reads them from there (the entry's own vector is empty afterwards).
-  evicted->push_back(EvictedFile{victim, std::move(entry_it->second.keywords)});
-  EraseIt(entry_it, evicted->back().keywords);
+  Entry& entry = entries_[victim];
+  evicted->push_back(EvictedFile{entry.file, std::move(entry.keywords)});
+  EraseSlot(victim, evicted->back().keywords);
   ++stats_.evictions;
 }
 

@@ -16,10 +16,15 @@
 // (keywords, providers, postings) are SmallVectors with inline storage sized
 // for the common case, so steady-state insert/evict churn touches the heap
 // only for outlier entries (bench/micro_cache pins the win).
+//
+// Entries sit densely in one array behind a FileId -> slot table, linked
+// into the use order by slot index, so an index costs what it holds: most
+// peers cache a handful of files, and a hash table of fat entries would pay
+// for at least eight (bench/micro_cache's bytes/entry).
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -160,15 +165,24 @@ class ResponseIndex {
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    KeywordVec keywords;                  // sorted ascending
-    ProviderVec providers;                // most recent first
-    std::list<FileId>::iterator use_pos;  // position in use_order_
-  };
-  using EntryMap = FlatMap<FileId, Entry>;
+  /// Slot index meaning "none" (list ends, absent files).
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
-  /// Moves a file to the most-recently-used position.
-  void Touch(FileId file, Entry* entry);
+  struct Entry {
+    FileId file = kInvalidFile;
+    uint32_t prev = kNoSlot;  ///< use-order neighbor toward the next victim
+    uint32_t next = kNoSlot;  ///< use-order neighbor toward the most recent
+    KeywordVec keywords;      ///< sorted ascending
+    ProviderVec providers;    ///< most recent first
+  };
+
+  /// The slot holding `file`, or kNoSlot.
+  uint32_t SlotOf(FileId file) const;
+  /// Use-order list maintenance (slot indexes, no allocation).
+  void LinkAtBack(uint32_t slot);
+  void Unlink(uint32_t slot);
+  /// Moves a slot to the most-recently-used position.
+  void Touch(uint32_t slot);
   /// Evicts one victim per policy; appends it to *evicted.
   void EvictOne(std::vector<EvictedFile>* evicted);
   /// Drops stale providers of one entry; true if any provider survives.
@@ -178,22 +192,28 @@ class ResponseIndex {
   /// Inverted-index maintenance around entry insertion/removal.
   void AddPostings(FileId file, std::span<const KeywordId> keywords);
   void RemovePostings(FileId file, std::span<const KeywordId> keywords);
-  /// Removes the entry at `it` (postings + LRU slot + map entry) without a
-  /// second map lookup. The keyword-taking overload is for callers that moved
-  /// the entry's keywords into an eviction report first. Invalidates `it`.
-  void EraseIt(EntryMap::iterator it);
-  void EraseIt(EntryMap::iterator it, std::span<const KeywordId> keywords);
+  /// Removes the entry in `slot` (postings, use order, slot table), filling
+  /// the hole with the last entry. `keywords` are the entry's own, or the
+  /// report's for callers that moved them into an eviction report first.
+  /// Invalidates `slot` and the last slot.
+  void EraseSlot(uint32_t slot, std::span<const KeywordId> keywords);
 
   ResponseIndexConfig config_;
-  /// Flat tables (single allocation each, arena-bound like the per-entry
-  /// vectors). Iteration is table order — every list the index exposes is
-  /// sorted first (the collect-and-sort rule, see common/flat_map.h).
-  EntryMap entries_;
-  /// KeywordId -> files carrying it (posting order = insertion order). Sized
-  /// by residency (max ~3 keywords x max_filenames keys), not by vocabulary.
+  /// The entries, dense in slot order (arbitrary: erase moves the last entry
+  /// into the hole). Every list the index exposes is sorted or follows the
+  /// use order, never slot order.
+  SmallVector<Entry, 0> entries_;
+  /// FileId -> slot, and KeywordId -> files carrying it (posting order =
+  /// insertion order; sized by residency, max ~3 keywords x max_filenames
+  /// keys, not by vocabulary). Flat tables (single allocation each,
+  /// arena-bound like the per-entry vectors); iteration is table order, so
+  /// nothing iterates them (the collect-and-sort rule, common/flat_map.h).
+  FlatMap<FileId, uint32_t> slot_of_;
   FlatMap<KeywordId, FilePostingVec> inverted_;
-  /// LRU/FIFO order: front = next victim, back = most recent.
-  std::list<FileId> use_order_;
+  /// LRU/FIFO order as a list through Entry::prev/next: head = next victim,
+  /// tail = most recent.
+  uint32_t use_head_ = kNoSlot;
+  uint32_t use_tail_ = kNoSlot;
   uint64_t eviction_rng_state_;
   Stats stats_;
 };

@@ -5,7 +5,8 @@
 // one of them on the heap, so cache churn turns into allocator churn. A
 // SmallVector<T, N> keeps up to N elements inline inside the owner and only
 // spills to the heap past that, which removes the per-entry allocation on
-// the common path entirely (bench/micro_cache pins the win).
+// the common path entirely (bench/micro_cache pins the win). N = 0 is a plain
+// arena-aware vector (the response index's dense entry array).
 //
 // Element requirements: T must be nothrow-move-constructible (growth and
 // container moves relocate elements with no strong-exception machinery) and
@@ -50,7 +51,6 @@ class SmallVector {
   static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                 "Grow() uses the default operator new; overaligned types "
                 "would get misaligned heap storage");
-  static_assert(N > 0, "inline capacity must be positive");
 
  public:
   using value_type = T;
@@ -325,7 +325,9 @@ class SmallVector {
   size_t size_ = 0;
   size_t capacity_ = N;
   common::Arena* arena_ = nullptr;  ///< spill source; null = global heap
-  alignas(T) unsigned char inline_storage_[N * sizeof(T)];
+  // N == 0 (a plain arena-aware vector) keeps one unused byte: zero-length
+  // arrays are not standard C++.
+  alignas(T) unsigned char inline_storage_[N == 0 ? 1 : N * sizeof(T)];
 };
 
 }  // namespace locaware

@@ -166,9 +166,9 @@ Status Engine::Setup() {
 
   // 3c. Shard-local arenas, reserved from the placement's peer counts. Every
   // arena-aware container a shard's peers own (overlay adjacency rows, file
-  // stores, response-index keyword/provider/posting lists) spills into its
-  // shard's arena, so allocation locality matches execution locality and
-  // mid-run growth never takes the global allocator's lock.
+  // stores, response-index entry arrays and keyword/provider/posting lists)
+  // spills into its shard's arena, so allocation locality matches execution
+  // locality and mid-run growth never takes the global allocator's lock.
   constexpr size_t kArenaBytesPerPeer = 64;
   const std::vector<size_t>& shard_peers = placement_.shard_peer_counts();
   arenas_.reserve(num_shards_);
@@ -215,7 +215,6 @@ Status Engine::Setup() {
     n.neighbor_filters.set_arena(arena);
     n.neighbor_gids.set_arena(arena);
     n.neighbor_degree.set_arena(arena);
-    n.seen_queries.set_arena(arena);
     n.reverse_path.set_arena(arena);
     if (caches) {
       cache::ResponseIndexConfig ri_cfg = config_.params.ri;
@@ -223,6 +222,9 @@ Status Engine::Setup() {
       ri_cfg.arena = arena;
       n.ri = std::make_unique<cache::ResponseIndex>(ri_cfg);
     }
+    // Locaware's filters stay on the global heap: at 1200 bits a filter's
+    // words take 152 bytes and the packed counters 600, which the arena's
+    // power-of-two classes would round up to 256 bytes and 1 KiB.
     if (is_locaware) {
       n.keyword_filter = std::make_unique<bloom::CountingBloomFilter>(
           config_.params.bloom_bits, config_.params.bloom_hashes);
@@ -550,9 +552,9 @@ void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
     return;
   }
 
+  // The origin keeps no reverse-path entry: a copy that comes back to it is
+  // a duplicate by definition (DeliverQuery drops it).
   shard.pending.try_emplace(ev.id, std::move(pq));
-  origin.seen_queries.insert(ev.id);
-  TouchPeer(shard_of(ev.requester), ev.id, ev.requester);
 
   ForwardQuery(ev.requester, kInvalidPeer, query);
   // The protocol sees every query that left its origin unanswered — the DHT
@@ -595,9 +597,11 @@ void Engine::ForwardQuery(PeerId node_id, PeerId from, const overlay::QueryMessa
 void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref) {
   if (!graph_->IsAlive(to)) return;  // lost on a dead peer
   const overlay::QueryMessage& msg = *msg_ref;
+  if (msg.origin == to) return;  // back at its origin: a duplicate
   NodeState& n = node(to);
-  if (!n.seen_queries.insert(msg.qid).second) return;  // duplicate: dropped
-  n.reverse_path[msg.qid] = from;
+  // The reverse-path entry doubles as the seen-query record: a second copy
+  // finds it and is dropped as a duplicate.
+  if (!n.reverse_path.try_emplace(msg.qid, from).second) return;
   TouchPeer(shard_of(to), msg.qid, to);
 
   // Answer from the shared-file store first, then the response index
@@ -778,9 +782,7 @@ void Engine::CleanupShard(sim::ShardId shard_id, QueryId qid) {
   auto touched = shard.touched.find(qid);
   if (touched != shard.touched.end()) {
     for (PeerId p : touched->second) {
-      NodeState& n = node(p);
-      n.seen_queries.erase(qid);
-      n.reverse_path.erase(qid);
+      node(p).reverse_path.erase(qid);
     }
     shard.touched.erase(touched);
   }
@@ -847,7 +849,6 @@ void Engine::HandleDeparture(PeerId p) {
   // Session state dies with the session; the response index survives on disk
   // (its entries age out through entry_ttl instead).
   NodeState& n = node(p);
-  n.seen_queries.clear();
   n.reverse_path.clear();
   n.neighbor_filters.clear();
   n.neighbor_gids.clear();

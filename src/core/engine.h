@@ -186,7 +186,7 @@ class Engine {
     /// iterates them (find/insert/erase only), so table order never shows.
     FlatMap<QueryId, PendingQuery> pending;
     FlatMap<QueryId, size_t> slot_of;
-    /// Peers of this shard whose seen/reverse-path tables mention a query.
+    /// Peers of this shard whose reverse-path tables mention a query.
     FlatMap<QueryId, SmallVector<PeerId, 8>> touched;
     metrics::MetricsCollector metrics;
   };
@@ -227,7 +227,7 @@ class Engine {
   /// Appends `p` to shard `shard_id`'s touched-peers list for `qid`,
   /// arena-binding the list on first touch.
   void TouchPeer(sim::ShardId shard_id, QueryId qid, PeerId p);
-  /// Erases one shard's tracking state for `qid` (its peers' seen/reverse
+  /// Erases one shard's tracking state for `qid` (its peers' reverse-path
   /// entries, the slot mapping). The full cleanup is one such event per
   /// shard, scheduled by the origin at finalize + deadline.
   void CleanupShard(sim::ShardId shard, QueryId qid);

@@ -193,20 +193,19 @@ void LocawareProtocol::OnMaintenanceTick(Engine& engine, PeerId node) {
     }
   }
 
-  // Gossip: transmit only the changed bit positions (§4.2 footnote 1).
-  const bloom::BloomFilter& current = state.keyword_filter->projection();
-  const bloom::BloomDelta delta =
-      bloom::ComputeDelta(*state.advertised_filter, current);
-  if (delta.empty()) return;
+  // Gossip: transmit only the changed bit positions (§4.2 footnote 1). The
+  // sync moves the advertised filter to the current projection.
+  const std::vector<uint32_t> toggled =
+      state.keyword_filter->SyncProjection(state.advertised_filter.get());
+  if (toggled.empty()) return;
 
   overlay::BloomUpdateMessage update;
   update.sender = node;
-  update.filter_bits = static_cast<uint32_t>(current.num_bits());
-  update.toggled_positions = delta.positions;
+  update.filter_bits = static_cast<uint32_t>(state.advertised_filter->num_bits());
+  update.toggled_positions = toggled;
   for (PeerId nb : engine.graph().Neighbors(node)) {
     engine.SendBloomUpdate(node, nb, update);
   }
-  *state.advertised_filter = current;
 }
 
 void LocawareProtocol::OnBloomUpdate(Engine& engine, PeerId node,

@@ -31,14 +31,18 @@ struct NodeState {
   std::unique_ptr<cache::ResponseIndex> ri;
 
   // --- Locaware only (§4.2) ---
-  /// Local deletable summary of RI keywords; its plain projection is what
-  /// neighbors receive.
+  /// Local deletable summary of RI keywords (4-bit counters, two per byte);
+  /// its plain projection, derived from the counters, is what neighbors
+  /// receive.
   std::unique_ptr<bloom::CountingBloomFilter> keyword_filter;
-  /// Last projection actually gossiped; deltas are computed against it.
+  /// Last projection actually gossiped; each maintenance tick syncs it to
+  /// the counting filter and gossips the toggled positions.
   std::unique_ptr<bloom::BloomFilter> advertised_filter;
-  /// Our copy of each neighbor's advertised filter. Flat tables (one
-  /// allocation, arena-bound at setup); iteration is table order, so
-  /// order-sensitive walks must collect-and-sort (common/flat_map.h).
+  /// Our copy of each neighbor's advertised filter: a 24-byte slot (peer id
+  /// plus the filter's pointer and shape) and one heap block of words per
+  /// copy. Flat tables (one allocation, arena-bound at setup); iteration is
+  /// table order, so order-sensitive walks must collect-and-sort
+  /// (common/flat_map.h).
   FlatMap<PeerId, bloom::BloomFilter> neighbor_filters;
   /// Neighbors' group ids as learned at link establishment ("neighboring
   /// peers exchange their group Ids as well as their Bloom filters").
@@ -61,9 +65,10 @@ struct NodeState {
   uint64_t link_round = 0;
 
   // --- message plumbing ---
-  /// Query GUIDs already seen (duplicate suppression).
-  FlatSet<QueryId> seen_queries;
-  /// Reverse-path routing: query GUID -> the neighbor it arrived from.
+  /// Reverse-path routing: query GUID -> the neighbor it arrived from. An
+  /// entry is also the duplicate-suppression record (a query seen here has
+  /// one); the origin keeps none, since a copy returning to it is a
+  /// duplicate by definition.
   FlatMap<QueryId, PeerId> reverse_path;
 
   /// Convenience: does this peer share a file (linear scan; stores are tiny).

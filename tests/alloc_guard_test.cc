@@ -20,6 +20,13 @@
 // to compile, so what the bars actually police is container/payload
 // regressions — one new per-event heap allocation is a 15x jump that blows
 // straight through either bar.
+//
+// The same counters also weigh memory: a second guard pins how many bytes
+// Locaware's per-peer state (counting filter, advertised filter, neighbor
+// filter copies) adds at Engine::Create, so a layout regression in the Bloom
+// state shows up as a number, not only as a higher peak RSS.
+#include <malloc.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -32,21 +39,39 @@
 #include "core/query_payload_pool.h"
 
 // --- allocation accounting ---------------------------------------------------
-// Binary-wide operator new/delete overrides. The counter is atomic (not
+// Binary-wide operator new/delete overrides. The counters are atomic (not
 // thread_local): the guard also runs a sharded configuration whose worker
-// threads allocate, and missing those would undercount.
+// threads allocate, and missing those would undercount. Live bytes are the
+// allocator's usable block sizes, so they weigh what the heap really holds.
 namespace {
 std::atomic<uint64_t> g_alloc_count{0};
+std::atomic<int64_t> g_live_bytes{0};
+
+void CountFree(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = std::malloc(size)) {
+    g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+    return p;
+  }
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountFree(p); }
+// The array forms too: a sanitizer runtime supplies its own operator new[]
+// that would bypass the counters (filter words are new[] blocks).
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete[](void* p) noexcept { CountFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountFree(p); }
 
 namespace locaware::core {
 namespace {
@@ -132,6 +157,47 @@ TEST(AllocGuardTest, PayloadPoolRecyclesToZeroNetAllocations) {
   EXPECT_EQ(allocs, 0u)
       << "payload pool stopped recycling: " << allocs
       << " heap allocations across 10000 warm acquire/share/drop cycles";
+}
+
+/// Bytes `Engine::Create` leaves behind on `cfg`: live heap blocks plus the
+/// arena chunks carved for per-peer state. An arena block counts by what was
+/// carved from it, not by its reservation (blocks double in size, so their
+/// reserved bytes would quantize the comparison).
+int64_t CreateFootprintBytes(const ExperimentConfig& cfg) {
+  const int64_t before = g_live_bytes.load();
+  auto engine = std::move(Engine::Create(cfg)).ValueOrDie();
+  int64_t bytes = g_live_bytes.load() - before;
+  for (uint32_t s = 0; s < engine->num_shards(); ++s) {
+    const common::Arena& arena = engine->shard_arena(s);
+    bytes += static_cast<int64_t>(arena.bytes_allocated()) -
+             static_cast<int64_t>(arena.bytes_reserved());
+  }
+  return bytes;
+}
+
+// Locaware's Create-time state per peer beyond Dicas' — a 1200-bit counting
+// filter, the advertised filter and one filter copy per neighbor. Measured
+// 2654 bytes/peer with byte-wide counters, a stored projection and 40-byte
+// filter headers in 48-byte map slots; 1556 since the counters are packed
+// two per byte, the projection is derived and a filter is its words plus a
+// 16-byte shape (x86-64 Linux, glibc 2.36). The bar leaves ~9% for
+// allocator drift; byte-wide counters again (+600) or a second stored
+// filter per peer (+160) blows it.
+constexpr double kLocawareBytesPerPeerBar = 1700;
+
+TEST(AllocGuardTest, LocawarePerPeerFootprintStaysUnderBar) {
+  constexpr uint32_t kPeers = 2000;
+  ExperimentConfig locaware = MakePaperConfig(ProtocolKind::kLocaware, 200, 7);
+  ExperimentConfig dicas = MakePaperConfig(ProtocolKind::kDicas, 200, 7);
+  locaware.num_peers = kPeers;
+  dicas.num_peers = kPeers;
+  const int64_t extra = CreateFootprintBytes(locaware) - CreateFootprintBytes(dicas);
+  const double per_peer = static_cast<double>(extra) / kPeers;
+  RecordProperty("locaware_bytes_per_peer", std::to_string(per_peer));
+  EXPECT_GT(per_peer, 600.0) << "the Bloom state went missing from Create";
+  EXPECT_LE(per_peer, kLocawareBytesPerPeerBar)
+      << "Locaware's per-peer state grew: " << per_peer << " bytes/peer (bar "
+      << kLocawareBytesPerPeerBar << ")";
 }
 
 TEST(AllocGuardTest, ShardedRunStaysUnderBar) {

@@ -212,6 +212,150 @@ TEST(CountingBloomTest, ClearResetsCountersAndProjection) {
   EXPECT_TRUE(cbf.MayContain("a"));
 }
 
+// Counters are packed two per byte. With one probe, KeyHash128{p, 0} lands on
+// counter p exactly, so these cases address single nibbles.
+KeyHash128 At(uint64_t pos) { return KeyHash128{pos, 0}; }
+
+TEST(CountingBloomTest, CountersSharingAByteAreIndependent) {
+  CountingBloomFilter cbf(64, 1);
+  for (int i = 0; i < 3; ++i) cbf.Insert(At(2));  // low nibble of byte 1
+  cbf.Insert(At(3));                              // high nibble of byte 1
+  EXPECT_EQ(cbf.CounterAt(2), 3u);
+  EXPECT_EQ(cbf.CounterAt(3), 1u);
+  cbf.Remove(At(3));
+  EXPECT_EQ(cbf.CounterAt(2), 3u);
+  EXPECT_EQ(cbf.CounterAt(3), 0u);
+  EXPECT_TRUE(cbf.MayContain(At(2)));
+  EXPECT_FALSE(cbf.MayContain(At(3)));
+  const BloomFilter projection = cbf.projection();
+  EXPECT_TRUE(projection.TestBit(2));
+  EXPECT_FALSE(projection.TestBit(3));
+  EXPECT_EQ(projection.CountOnes(), 1u);
+}
+
+TEST(CountingBloomTest, BothNibblesSaturateAndStayPinned) {
+  CountingBloomFilter cbf(64, 1);
+  for (int i = 0; i < 20; ++i) {
+    cbf.Insert(At(4));
+    cbf.Insert(At(5));
+  }
+  EXPECT_EQ(cbf.CounterAt(4), 15u);
+  EXPECT_EQ(cbf.CounterAt(5), 15u);
+  EXPECT_EQ(cbf.SaturatedCount(), 2u);
+  // Saturation must not carry into the neighboring counters.
+  EXPECT_EQ(cbf.CounterAt(3), 0u);
+  EXPECT_EQ(cbf.CounterAt(6), 0u);
+  for (int i = 0; i < 20; ++i) {
+    cbf.Remove(At(4));
+    cbf.Remove(At(5));
+  }
+  EXPECT_EQ(cbf.CounterAt(4), 15u);
+  EXPECT_EQ(cbf.CounterAt(5), 15u);
+  EXPECT_TRUE(cbf.MayContain(At(4)));
+  EXPECT_TRUE(cbf.MayContain(At(5)));
+}
+
+TEST(CountingBloomTest, OddWidthHandlesTheLastHalfByte) {
+  // m = 1201: counter 1200 is alone in the low nibble of the last byte.
+  CountingBloomFilter cbf(1201, 1);
+  for (int i = 0; i < 20; ++i) cbf.Insert(At(1200));
+  cbf.Insert(At(1199));
+  EXPECT_EQ(cbf.CounterAt(1200), 15u);
+  EXPECT_EQ(cbf.CounterAt(1199), 1u);
+  EXPECT_DEATH(cbf.CounterAt(1201), "CHECK");
+
+  BloomFilter advertised(1201, 1);
+  EXPECT_EQ(cbf.SyncProjection(&advertised), (std::vector<uint32_t>{1199, 1200}));
+  EXPECT_EQ(advertised.num_bits(), 1201u);
+  EXPECT_EQ(advertised.CountOnes(), 2u);
+  EXPECT_EQ(advertised, cbf.projection());
+
+  cbf.Remove(At(1199));
+  EXPECT_EQ(cbf.CounterAt(1200), 15u);
+  EXPECT_EQ(cbf.SyncProjection(&advertised), (std::vector<uint32_t>{1199}));
+  EXPECT_TRUE(advertised.TestBit(1200));
+  EXPECT_EQ(advertised.CountOnes(), 1u);
+}
+
+TEST(CountingBloomTest, RemoveUnderflowInAPackedByteDies) {
+  // The byte holding counters 2 and 3 is nonzero, but counter 3 is empty.
+  CountingBloomFilter cbf(64, 1);
+  cbf.Insert(At(2));
+  EXPECT_DEATH(cbf.Remove(At(3)), "underflow");
+}
+
+TEST(CountingBloomTest, SyncProjectionEmitsOnlyChanges) {
+  CountingBloomFilter cbf(256, 3);
+  BloomFilter advertised(256, 3);
+  EXPECT_TRUE(cbf.SyncProjection(&advertised).empty());
+  cbf.Insert("a");
+  const std::vector<uint32_t> first = cbf.SyncProjection(&advertised);
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(advertised, cbf.projection());
+  EXPECT_TRUE(cbf.SyncProjection(&advertised).empty());  // nothing moved since
+  // A counter that leaves zero and returns leaves the projection where it was.
+  cbf.Insert("b");
+  cbf.Remove("b");
+  EXPECT_TRUE(cbf.SyncProjection(&advertised).empty());
+  EXPECT_EQ(advertised, cbf.projection());
+  BloomFilter narrower(128, 3);
+  EXPECT_DEATH(cbf.SyncProjection(&narrower), "mismatch");
+}
+
+TEST(CountingBloomTest, PackedCountersMirrorAByteReference) {
+  // Seeded fuzz: the nibble-packed filter against one byte per counter, with
+  // the same saturate-at-15 rule, over shapes that end on a full word, a
+  // full byte and a half byte. The derived projection and every sync delta
+  // must match the reference bit for bit.
+  struct Shape {
+    size_t bits;
+    size_t hashes;
+  };
+  for (const Shape shape : {Shape{64, 1}, Shape{600, 3}, Shape{1201, 4}}) {
+    Rng rng(0xb100f + shape.bits);
+    CountingBloomFilter cbf(shape.bits, shape.hashes);
+    std::vector<uint8_t> reference(shape.bits, 0);
+    std::vector<std::string> present;  // inserted keys, with multiplicity
+    BloomFilter advertised(shape.bits, shape.hashes);
+    BloomFilter last_projection(shape.bits, shape.hashes);
+    const BloomFilter probe(shape.bits, shape.hashes);
+    for (int step = 0; step < 4000; ++step) {
+      if (present.empty() || rng.Bernoulli(0.55)) {
+        // A small key space forces repeats, so counters climb to 15.
+        const std::string key = "k" + std::to_string(rng.UniformInt(0, 40));
+        cbf.Insert(key);
+        for (uint32_t pos : probe.ProbePositions(key)) {
+          if (reference[pos] < 15) ++reference[pos];
+        }
+        present.push_back(key);
+      } else {
+        const size_t i = rng.UniformInt(0, present.size() - 1);
+        const std::string key = present[i];
+        present[i] = present.back();
+        present.pop_back();
+        cbf.Remove(key);
+        for (uint32_t pos : probe.ProbePositions(key)) {
+          if (reference[pos] < 15) --reference[pos];
+        }
+      }
+      for (size_t pos = 0; pos < shape.bits; ++pos) {
+        ASSERT_EQ(cbf.CounterAt(pos), reference[pos])
+            << "m=" << shape.bits << " counter " << pos << " at step " << step;
+      }
+      if (step % 7 != 0) continue;
+      BloomFilter expected(shape.bits, shape.hashes);
+      for (size_t pos = 0; pos < shape.bits; ++pos) {
+        if (reference[pos] > 0) expected.SetBit(pos);
+      }
+      ASSERT_EQ(cbf.projection(), expected) << "m=" << shape.bits << " step " << step;
+      ASSERT_EQ(cbf.SyncProjection(&advertised), last_projection.DiffPositions(expected))
+          << "m=" << shape.bits << " step " << step;
+      ASSERT_EQ(advertised, expected);
+      last_projection = expected;
+    }
+  }
+}
+
 // --- BloomDelta ---
 
 TEST(BloomDeltaTest, ComputeAndApplyRoundTrip) {
