@@ -37,7 +37,5 @@ int main(int argc, char** argv) {
     std::printf("headline: Locaware hit ratio vs Dicas-Keys: %+.1f%% (paper: +33%%)\n",
                 (locaware / dicas_keys - 1.0) * 100.0);
   }
-  std::printf("note: ~1/e of files receive no initial copy (1000 peers x 3 files\n"
-              "      over 3000 files), so even Flooding cannot exceed ~63%%.\n");
   return 0;
 }

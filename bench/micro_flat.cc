@@ -1,5 +1,5 @@
 // Microbenchmarks for common/flat_map.h: the open-addressing tables the data
-// plane runs on (ShardState pending/slot_of/touched, ResponseIndex entries,
+// plane runs on (ShardState pending/slot_of/routes, ResponseIndex entries,
 // NodeState neighbor maps, catalog interning) head-to-head against the
 // std::unordered_map they replaced.
 //
@@ -63,7 +63,7 @@ void FillInsertErase(benchmark::State& state) {
   size_t i = 0;
   const uint64_t allocs_before = g_alloc_count;
   for (auto _ : state) {
-    // Steady-state churn at plateau size: the pending/slot_of/touched life
+    // Steady-state churn at plateau size: the pending/slot_of/routes life
     // cycle — insert a fresh query, finalize (erase) the oldest.
     map.try_emplace(keys[i % n] + i, i);
     if (map.size() > n) map.erase(keys[(i - n) % n] + (i - n));

@@ -61,6 +61,11 @@ class CountingBloomFilter {
   /// instead of O(m). CHECK-fails on shape mismatch.
   std::vector<uint32_t> SyncProjection(BloomFilter* advertised);
 
+  /// Some counter crossed zero since the last SyncProjection, so the next
+  /// sync may have positions to gossip. False means it certainly has none:
+  /// the engine arms a peer's maintenance tick only while this holds.
+  bool unsynced() const { return unsynced_; }
+
  private:
   static constexpr uint8_t kMaxCount = 15;
 

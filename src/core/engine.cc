@@ -102,7 +102,7 @@ Status Engine::Setup() {
       config_.num_peers, config_.files_per_peer, catalog_, &placement_rng);
 
   // 3. Peer → shard placement: the immutable map every shard_of consumer
-  // (ownership asserts, arena binding, event scheduling, slot/touched maps,
+  // (ownership asserts, arena binding, event scheduling, slot/route tables,
   // churn owner events, metrics merge) reads for the rest of the run.
   {
     std::vector<size_t> peer_location(config_.num_peers);
@@ -145,6 +145,27 @@ Status Engine::Setup() {
           "would violate the conservative window");
     }
   }
+  // The maintenance a run needs decides the event budget below. A tick may
+  // be left out only where it provably does nothing: on a static overlay
+  // without index TTL, Flooding and Dicas have nothing to maintain, and
+  // Locaware only a Bloom delta to gossip after its counting filter changed.
+  // Churn (orphan re-probes), the DHT (stabilize, republish) and index
+  // expiry keep the periodic chain.
+  uses_dht_ = config_.protocol == ProtocolKind::kDht;
+  // kDht runs without any response index.
+  const bool caches = config_.protocol != ProtocolKind::kFlooding && !uses_dht_;
+  const bool is_locaware = config_.protocol == ProtocolKind::kLocaware;
+  if (config_.churn.enabled || uses_dht_ || (caches && config_.params.ri.entry_ttl > 0)) {
+    maintenance_ = Maintenance::kPeriodic;
+  } else if (is_locaware) {
+    maintenance_ = Maintenance::kOnDemand;
+    if (config_.params.maintenance_interval <= 0 ||
+        config_.params.maintenance_interval > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument(
+          "params.maintenance_interval must be in (0, 4294.967295] s");
+    }
+  }
+
   sim::ShardedSimulatorConfig sim_cfg;
   sim_cfg.num_shards = num_shards_;
   sim_cfg.num_workers = config_.scheduler.workers;
@@ -155,13 +176,15 @@ Status Engine::Setup() {
   sim_cfg.num_sources = static_cast<sim::SourceId>(config_.num_peers) + 1;
   sim_ = std::make_unique<sim::ShardedSimulator>(sim_cfg);
   shards_.resize(num_shards_);
-  // Queue capacity for the in-flight working set: one maintenance tick per
-  // peer, as much again for the messages, deadlines and arrival in flight,
-  // plus fixed headroom. Reserved capacity stays address space until events
-  // use it, while outgrowing it relocates the whole slab and can strand the
-  // old one in the heap — so the budget errs large.
+  // Queue capacity for the in-flight working set: a periodic run's standing
+  // maintenance tick per peer, plus one event per peer and fixed headroom
+  // for the messages, deadlines, cleanups, armed ticks and arrival in
+  // flight. Reserved capacity stays address space until events use it, while
+  // outgrowing it relocates the whole slab and can strand the old one in the
+  // heap — so the budget errs large.
+  const size_t events_per_peer = maintenance_ == Maintenance::kPeriodic ? 2 : 1;
   for (sim::ShardId s = 0; s < num_shards_; ++s) {
-    sim_->ReserveEvents(s, 2 * placement_.shard_peer_counts()[s] + 1024);
+    sim_->ReserveEvents(s, events_per_peer * placement_.shard_peer_counts()[s] + 1024);
   }
 
   // 3c. Shard-local arenas, reserved from the placement's peer counts. Every
@@ -179,7 +202,7 @@ Status Engine::Setup() {
     // arenas_ is declared before shards_, so the arenas outlive the tables.
     shards_[s].pending.set_arena(arenas_[s].get());
     shards_[s].slot_of.set_arena(arenas_[s].get());
-    shards_[s].touched.set_arena(arenas_[s].get());
+    shards_[s].routes.set_arena(arenas_[s].get());
   }
 
   // 3d. Overlay.
@@ -198,10 +221,6 @@ Status Engine::Setup() {
   }
   Rng gid_rng = root_rng_.Split("gids");
   nodes_.resize(config_.num_peers);
-  uses_dht_ = config_.protocol == ProtocolKind::kDht;
-  // kDht runs without any response index.
-  const bool caches = config_.protocol != ProtocolKind::kFlooding && !uses_dht_;
-  const bool is_locaware = config_.protocol == ProtocolKind::kLocaware;
   for (PeerId p = 0; p < config_.num_peers; ++p) {
     NodeState& n = nodes_[p];
     n.id = p;
@@ -215,7 +234,6 @@ Status Engine::Setup() {
     n.neighbor_filters.set_arena(arena);
     n.neighbor_gids.set_arena(arena);
     n.neighbor_degree.set_arena(arena);
-    n.reverse_path.set_arena(arena);
     if (caches) {
       cache::ResponseIndexConfig ri_cfg = config_.params.ri;
       ri_cfg.eviction_seed = config_.seed ^ (0x9e3779b97f4a7c15ULL * (p + 1));
@@ -285,18 +303,35 @@ Status Engine::Setup() {
     }
   }
 
-  // 7. Periodic maintenance (index expiry; Locaware Bloom gossip; under
-  // churn, orphan re-attachment — a lone probe lost to a mid-flight
-  // departure must not strand a peer at degree 0 for its whole session).
-  // Start ticks are staggered so 1000 nodes do not fire in the same
-  // microsecond. The initial offset events come from the controller source;
-  // every rescheduled tick is keyed by the node itself, keeping the tick
-  // chain's tie-break order shard-count-invariant.
-  if (caches || config_.churn.enabled || uses_dht_) {
+  // 7. Maintenance (index expiry; Locaware Bloom gossip; under churn, orphan
+  // re-attachment — a lone probe lost to a mid-flight departure must not
+  // strand a peer at degree 0 for its whole session; DHT stabilize and
+  // republish). Peer p's ticks fall on its grid offset_p + k * interval, the
+  // offsets staggered so 1000 nodes do not fire in the same microsecond.
+  // Grid point 0 is keyed by the controller source, every later tick by the
+  // node itself, keeping the tick order shard-count-invariant.
+  //
+  // kOnDemand queues a tick only at a grid point where the periodic chain's
+  // tick would find something to gossip (ArmMaintenance); at grid point 0 it
+  // takes the controller key the chain's first tick had. Every remaining
+  // tick runs at the same sim time against the same state. Dropping the idle
+  // ones only renumbers the peer's own later sequence numbers, and among
+  // same-instant events of one source a tick commutes with the rest: it
+  // reads and writes only its own peer's filters, and what it sends lands
+  // later.
+  if (maintenance_ != Maintenance::kNone) {
     Rng stagger_rng = root_rng_.Split("maintenance");
+    // The controller keys the chain's first ticks took, in peer order.
+    if (maintenance_ == Maintenance::kOnDemand) {
+      tick_seq_base_ = sim_->ReserveSequence(/*src=*/0, config_.num_peers);
+    }
     for (PeerId p = 0; p < config_.num_peers; ++p) {
       const sim::SimTime offset = static_cast<sim::SimTime>(stagger_rng.UniformInt(
           0, static_cast<uint64_t>(config_.params.maintenance_interval)));
+      if (maintenance_ == Maintenance::kOnDemand) {
+        nodes_[p].maintenance_offset = static_cast<uint32_t>(offset);
+        continue;
+      }
       // Each queued tick is a plain [this, p] closure that reschedules
       // itself (MaintenanceTick); the chain lives in the event queue alone,
       // so ticks allocate nothing and leak nothing when the queue drains.
@@ -386,6 +421,12 @@ size_t Engine::tracked_query_count() const {
   return total;
 }
 
+size_t Engine::routed_query_count() const {
+  size_t total = 0;
+  for (const ShardState& shard : shards_) total += shard.routes.query_count();
+  return total;
+}
+
 sim::SimTime Engine::OneWayDelay(PeerId a, PeerId b) const {
   return sim::FromMs(underlay_->RttMs(a, b) / 2.0);
 }
@@ -413,6 +454,31 @@ void Engine::MaintenanceTick(PeerId p) {
                    [this, p] { MaintenanceTick(p); });
 }
 
+void Engine::ArmMaintenance(PeerId p, sim::SourceId cause) {
+  NodeState& n = node(p);
+  if (n.maintenance_armed || !n.keyword_filter->unsynced()) return;
+  LOCAWARE_CHECK_NE(cause, SourceOf(p)) << "a peer's own event changed its filter";
+  n.maintenance_armed = true;
+  const auto tick = [this, p] {
+    node(p).maintenance_armed = false;
+    MaintenanceWork(p);
+  };
+  const sim::SimTime interval = config_.params.maintenance_interval;
+  const sim::SimTime first = n.maintenance_offset;
+  const sim::SimTime now = sim_->Now();
+  if (now < first) {
+    sim_->ScheduleReserved(shard_of(p), /*src=*/0, tick_seq_base_ + p, first, tick);
+    return;
+  }
+  // The latest grid point at or before now. If it is now itself, the chain's
+  // tick there ran after this event only if keyed after it: never at grid
+  // point 0 (the controller's key sorts ahead of every peer's event), and at
+  // later points only when the changing event's source sorts before p's.
+  sim::SimTime at = first + (now - first) / interval * interval;
+  if (at < now || at == first || cause > SourceOf(p)) at += interval;
+  ScheduleFromNode(p, p, at - now, tick);
+}
+
 void Engine::Run() {
   const auto& queries = workload_.queries();
   // Pre-register every query's metrics slot in every shard. Slots equal the
@@ -433,10 +499,11 @@ void Engine::Run() {
   for (sim::ShardId s = 0; s < num_shards_; ++s) ScheduleArrival(s, 0);
   sim_->Run(RunHorizon());
 
-  // Fold the per-shard collectors into the run-level view.
-  std::vector<const metrics::MetricsCollector*> parts;
+  // Fold the per-shard collectors into the run-level view. The merge moves
+  // out of them, so no second copy of the records outlives it.
+  std::vector<metrics::MetricsCollector*> parts;
   parts.reserve(shards_.size());
-  for (const ShardState& shard : shards_) parts.push_back(&shard.metrics);
+  for (ShardState& shard : shards_) parts.push_back(&shard.metrics);
   std::vector<uint32_t> origin_shard(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     origin_shard[i] = shard_of(queries[i].requester);
@@ -552,8 +619,8 @@ void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
     return;
   }
 
-  // The origin keeps no reverse-path entry: a copy that comes back to it is
-  // a duplicate by definition (DeliverQuery drops it).
+  // The origin keeps no reverse-path hop: a copy that comes back to it is a
+  // duplicate by definition (DeliverQuery drops it).
   shard.pending.try_emplace(ev.id, std::move(pq));
 
   ForwardQuery(ev.requester, kInvalidPeer, query);
@@ -598,11 +665,9 @@ void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref
   if (!graph_->IsAlive(to)) return;  // lost on a dead peer
   const overlay::QueryMessage& msg = *msg_ref;
   if (msg.origin == to) return;  // back at its origin: a duplicate
-  NodeState& n = node(to);
-  // The reverse-path entry doubles as the seen-query record: a second copy
+  // The reverse-path hop doubles as the seen-query record: a second copy
   // finds it and is dropped as a duplicate.
-  if (!n.reverse_path.try_emplace(msg.qid, from).second) return;
-  TouchPeer(shard_of(to), msg.qid, to);
+  if (!shards_[shard_of(to)].routes.Admit(msg.qid, to, from)) return;
 
   // Answer from the shared-file store first, then the response index
   // ("either in its file storage or in its response index", §4.2).
@@ -639,13 +704,14 @@ void Engine::SendResponse(PeerId sender, PeerId next_hop,
                    });
 }
 
-void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessage msg) {
+void Engine::DeliverResponse(PeerId to, PeerId from, overlay::ResponseMessage msg) {
   if (!graph_->IsAlive(to)) return;  // response lost with the dead relay
   msg.hops += 1;
 
   // Every reverse-path peer (the requester included) may cache the passing
   // response, per the protocol's rule.
   protocol_->ObserveResponse(*this, to, msg);
+  if (maintenance_ == Maintenance::kOnDemand) ArmMaintenance(to, SourceOf(from));
 
   if (to == msg.origin) {
     ShardState& shard = shards_[shard_of(to)];
@@ -664,10 +730,9 @@ void Engine::DeliverResponse(PeerId to, PeerId /*from*/, overlay::ResponseMessag
     return;
   }
 
-  NodeState& n = node(to);
-  auto next = n.reverse_path.find(msg.qid);
-  if (next == n.reverse_path.end()) return;  // path lost (churn or cleanup)
-  SendResponse(to, next->second, msg);
+  const PeerId next = shards_[shard_of(to)].routes.NextHop(msg.qid, to);
+  if (next == kInvalidPeer) return;  // path lost (churn or cleanup)
+  SendResponse(to, next, msg);
 }
 
 void Engine::FinalizeQuery(PeerId origin, QueryId qid) {
@@ -771,21 +836,9 @@ void Engine::ScheduleCleanup(PeerId origin, QueryId qid) {
   }
 }
 
-void Engine::TouchPeer(sim::ShardId shard_id, QueryId qid, PeerId p) {
-  auto [it, inserted] = shards_[shard_id].touched.try_emplace(qid);
-  if (inserted) it->second.set_arena(arenas_[shard_id].get());
-  it->second.push_back(p);
-}
-
 void Engine::CleanupShard(sim::ShardId shard_id, QueryId qid) {
   ShardState& shard = shards_[shard_id];
-  auto touched = shard.touched.find(qid);
-  if (touched != shard.touched.end()) {
-    for (PeerId p : touched->second) {
-      node(p).reverse_path.erase(qid);
-    }
-    shard.touched.erase(touched);
-  }
+  shard.routes.Erase(qid);
   shard.slot_of.erase(qid);
 }
 
@@ -848,8 +901,8 @@ void Engine::HandleDeparture(PeerId p) {
 
   // Session state dies with the session; the response index survives on disk
   // (its entries age out through entry_ttl instead).
+  shards_[shard_of(p)].routes.DropPeer(p);
   NodeState& n = node(p);
-  n.reverse_path.clear();
   n.neighbor_filters.clear();
   n.neighbor_gids.clear();
   n.neighbor_degree.clear();

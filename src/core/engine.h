@@ -2,7 +2,16 @@
 // and one protocol into the discrete-event simulator, and implements the
 // message plumbing every protocol shares — TTL-bounded forwarding, GUID
 // duplicate suppression, reverse-path response routing (paper §3.1), query
-// finalization with provider selection, churn, and periodic maintenance.
+// finalization with provider selection, churn, and maintenance.
+//
+// Run holds in-flight work, not standing per-peer state: arrivals stream,
+// reverse paths live in per-shard tables per query (core/query_routes.h)
+// until the query's cleanup, and maintenance ticks are queued only where a
+// tick can do something — every interval under churn, for the DHT or with an
+// index TTL; for static Locaware only once its counting filter changed
+// (ArmMaintenance); never for static Flooding, Dicas and Dicas-Keys. A tick
+// that does run keeps the time and key the periodic chain would give it, so
+// results are those of the chain.
 //
 // Sharded execution: peers are partitioned across config.scheduler.shards
 // shards by a placement-defined partition (sim::ShardPlacement — modulo or
@@ -41,6 +50,7 @@
 #include "core/node_state.h"
 #include "core/protocol.h"
 #include "core/query_payload_pool.h"
+#include "core/query_routes.h"
 #include "dht/ring.h"
 #include "metrics/metrics.h"
 #include "net/underlay.h"
@@ -126,6 +136,9 @@ class Engine {
   /// Per-shard tracking entries still addressable by in-flight messages
   /// (0 after Run(): every query was cleaned up everywhere).
   size_t tracked_query_count() const;
+  /// Per-shard route tables of queries in flight (0 after Run(), like
+  /// tracked_query_count()).
+  size_t routed_query_count() const;
 
   /// One-way overlay-link delay between two peers (RTT/2).
   sim::SimTime OneWayDelay(PeerId a, PeerId b) const;
@@ -186,8 +199,10 @@ class Engine {
     /// iterates them (find/insert/erase only), so table order never shows.
     FlatMap<QueryId, PendingQuery> pending;
     FlatMap<QueryId, size_t> slot_of;
-    /// Peers of this shard whose reverse-path tables mention a query.
-    FlatMap<QueryId, SmallVector<PeerId, 8>> touched;
+    /// Reverse-path hops of the queries in flight through this shard's
+    /// peers, also the duplicate-suppression record; erased per query by
+    /// CleanupShard.
+    QueryRoutes routes;
     metrics::MetricsCollector metrics;
   };
 
@@ -224,12 +239,9 @@ class Engine {
   void SendResponse(PeerId responder, PeerId next_hop,
                     overlay::ResponseMessage msg);
   void FinalizeQuery(PeerId origin, QueryId qid);
-  /// Appends `p` to shard `shard_id`'s touched-peers list for `qid`,
-  /// arena-binding the list on first touch.
-  void TouchPeer(sim::ShardId shard_id, QueryId qid, PeerId p);
-  /// Erases one shard's tracking state for `qid` (its peers' reverse-path
-  /// entries, the slot mapping). The full cleanup is one such event per
-  /// shard, scheduled by the origin at finalize + deadline.
+  /// Erases one shard's tracking state for `qid` (its route table, the slot
+  /// mapping). The full cleanup is one such event per shard, scheduled by
+  /// the origin at finalize + deadline.
   void CleanupShard(sim::ShardId shard, QueryId qid);
   /// Schedules CleanupShard on every shard at Now() + query deadline.
   void ScheduleCleanup(PeerId origin, QueryId qid);
@@ -239,14 +251,30 @@ class Engine {
   overlay::RecordVec AnswerFromFileStore(PeerId node,
                                          const overlay::QueryMessage& query);
 
-  /// One peer's recurring maintenance tick: runs the work, then schedules
-  /// the next tick as a plain (node-sourced) event. The chain needs no
-  /// self-referencing shared state — each queued event is one [this, p]
+  /// How a run schedules maintenance ticks (fixed at Setup from the config).
+  enum class Maintenance {
+    kNone,      ///< no tick would do anything: static Flooding, Dicas(-Keys), no TTL
+    kOnDemand,  ///< static Locaware without TTL: a tick only to gossip a change
+    kPeriodic,  ///< churn, DHT or index TTL: every peer ticks every interval
+  };
+
+  /// One peer's recurring maintenance tick (kPeriodic): runs the work, then
+  /// schedules the next tick as a plain (node-sourced) event. The chain needs
+  /// no self-referencing shared state — each queued event is one [this, p]
   /// closure, so ticks never allocate.
   void MaintenanceTick(PeerId p);
   /// The tick's work: index expiry / Bloom gossip when the protocol caches,
   /// orphan re-attachment under churn.
   void MaintenanceWork(PeerId p);
+  /// kOnDemand: if `p`'s counting filter changed since its last gossip and
+  /// no tick is armed, arms one at the grid point where the periodic chain's
+  /// tick would first see the change. `cause` is the source of the event
+  /// executing at `p`: at a grid point equal to Now(), the chain's tick ran
+  /// before this event unless `cause` sorts before `p`'s own source. Called
+  /// after a passing response is cached, the one change a static run without
+  /// TTL makes to a filter (answering from the index only adds providers to
+  /// files already indexed).
+  void ArmMaintenance(PeerId p, sim::SourceId cause);
 
   // --- churn lifecycle (shard-safe: owner events + routed repair links) ---
 
@@ -322,6 +350,11 @@ class Engine {
   /// First of the controller sequence numbers Run reserves for arrivals:
   /// workload index i is keyed arrival_seq_base_ + i.
   uint64_t arrival_seq_base_ = 0;
+  Maintenance maintenance_ = Maintenance::kNone;
+  /// kOnDemand: first of the controller sequence numbers Setup reserves for
+  /// grid point 0, where peer p's tick is keyed tick_seq_base_ + p — the key
+  /// the periodic chain's controller-queued first tick has.
+  uint64_t tick_seq_base_ = 0;
 
   /// One arena per shard. Declared before every arena-backed structure
   /// (graph_, nodes_, shards_) so it is destroyed last: their destructors

@@ -1,5 +1,7 @@
 // Per-peer protocol state. One NodeState per participant, owned by the
-// Engine; protocols mutate it through their hooks.
+// Engine; protocols mutate it through their hooks. What lives only while a
+// query does (its reverse path) is not here: the owning shard keeps it per
+// query (core/query_routes.h).
 #pragma once
 
 #include <memory>
@@ -20,6 +22,11 @@ struct NodeState {
   PeerId id = kInvalidPeer;
   LocId loc_id = 0;   ///< landmark-ordering location id (§4.1.1)
   GroupId gid = 0;    ///< Dicas group id, uniform in [0, M) (§3.2)
+  /// This peer's maintenance grid is maintenance_offset + k * interval
+  /// (4 bytes; set only where ticks are armed on demand, see Engine).
+  uint32_t maintenance_offset = 0;
+  /// A maintenance tick is queued for this peer (on-demand runs only).
+  bool maintenance_armed = false;
 
   /// Files this peer shares: the initial 3 plus everything it downloads
   /// ("the requesting peer ... becomes a provider pf", §3.1). Inline for the
@@ -63,13 +70,6 @@ struct NodeState {
   /// draw (DecisionRng) so every round has a unique, shard-count-invariant
   /// stream.
   uint64_t link_round = 0;
-
-  // --- message plumbing ---
-  /// Reverse-path routing: query GUID -> the neighbor it arrived from. An
-  /// entry is also the duplicate-suppression record (a query seen here has
-  /// one); the origin keeps none, since a copy returning to it is a
-  /// duplicate by definition.
-  FlatMap<QueryId, PeerId> reverse_path;
 
   /// Convenience: does this peer share a file (linear scan; stores are tiny).
   bool SharesFile(FileId f) const {

@@ -66,8 +66,12 @@ class Protocol {
   /// right after the forward fan-out was scheduled.
   virtual void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query);
 
-  /// Periodic maintenance. Base implementation expires stale index entries;
-  /// Locaware additionally syncs its Bloom filter and gossips deltas.
+  /// A maintenance tick at `node`: every interval under churn, for the DHT
+  /// or with an index TTL; on a static overlay without TTL only Locaware
+  /// ticks, once its counting filter changed. Base implementation expires
+  /// stale index entries (Dicas and Dicas-Keys under churn or TTL; the DHT
+  /// has no index); Locaware additionally syncs its Bloom filter and gossips
+  /// deltas.
   virtual void OnMaintenanceTick(Engine& engine, PeerId node);
 
   /// Bloom-update delivery (Locaware only; default ignores).

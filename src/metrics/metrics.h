@@ -65,15 +65,19 @@ class MetricsCollector {
   /// Starts tracking a query; returns its record slot index.
   size_t BeginQuery(QueryId qid, PeerId requester, sim::SimTime now);
 
-  /// Merges per-shard collectors into one run-level collector. Every part
-  /// must hold the same slots (the sharded engine pre-registers the full
-  /// workload in each shard). `origin_shard[slot]` names the part owning the
-  /// non-additive fields of that slot (success, source, first-response data —
-  /// written only by the requester's shard); the message/byte counters, which
-  /// any forwarding shard increments on its own copy, are summed across the
-  /// remaining parts. Maintenance counters are summed from every part. The
-  /// result is byte-identical to what a sequential run records directly.
-  static MetricsCollector MergeShards(const std::vector<const MetricsCollector*>& parts,
+  /// Merges per-shard collectors into one run-level collector, moving out of
+  /// them: the result takes over the first part's records and folds the
+  /// others in one part at a time, releasing each part's records as it goes,
+  /// so the merge never holds a copy beside the parts (a single part is just
+  /// moved). Every part must hold the same slots (the sharded engine
+  /// pre-registers the full workload in each shard). `origin_shard[slot]`
+  /// names the part owning the non-additive fields of that slot (success,
+  /// source, first-response data — written only by the requester's shard);
+  /// the message/byte counters, which any forwarding shard increments on its
+  /// own copy, are summed across all parts. Maintenance counters are summed
+  /// from every part. The result is byte-identical to what a sequential run
+  /// records directly; the parts are left empty.
+  static MetricsCollector MergeShards(const std::vector<MetricsCollector*>& parts,
                                       const std::vector<uint32_t>& origin_shard);
 
   /// Mutable access while a query is in flight.
