@@ -42,5 +42,16 @@ int main(int argc, char** argv) {
   std::printf("maintenance: Locaware Bloom updates: %llu msgs, %llu bytes total\n",
               static_cast<unsigned long long>(results[3].summary.bloom_update_msgs),
               static_cast<unsigned long long>(results[3].summary.bloom_update_bytes));
+
+  // The figure counts search messages only; a protocol's full price per
+  // query adds the maintenance it sends whether or not anyone searches.
+  std::printf("\nfull cost per query (maintenance = Bloom updates + link repair + DHT "
+              "stores):\n");
+  std::printf("  %-12s %10s %10s %10s\n", "protocol", "search/q", "maint/q", "total/q");
+  for (const auto& r : results) {
+    const double maint = bench::MaintenanceMsgsPerQuery(r.summary);
+    std::printf("  %-12s %10.1f %10.1f %10.1f\n", r.label.c_str(),
+                r.summary.msgs_per_query, maint, r.summary.msgs_per_query + maint);
+  }
   return 0;
 }

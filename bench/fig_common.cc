@@ -150,6 +150,11 @@ void MaybeWriteJson(const std::vector<core::ExperimentResult>& results,
   std::printf("wrote %s\n", options.json_path.c_str());
 }
 
+double MaintenanceMsgsPerQuery(const metrics::Summary& s) {
+  return static_cast<double>(s.bloom_update_msgs + s.repair_msgs + s.dht_store_msgs) /
+         static_cast<double>(std::max<uint64_t>(s.num_queries, 1));
+}
+
 void PrintSummaries(const std::vector<core::ExperimentResult>& results) {
   std::printf("\n%-12s %10s %12s %12s %10s %10s\n", "protocol", "success",
               "msgs/query", "download ms", "loc-match", "cache-hit");

@@ -71,6 +71,10 @@ std::vector<core::ExperimentResult> RunAllProtocols(
 std::vector<metrics::LabeledSeries> ToSeries(
     const std::vector<core::ExperimentResult>& results);
 
+/// Maintenance messages per query: Bloom updates + link repair + DHT stores,
+/// over the run's queries (perfbench's maintenance_msgs_per_query).
+double MaintenanceMsgsPerQuery(const metrics::Summary& s);
+
 /// Prints the standard run header (config echo) and per-protocol summaries.
 void PrintHeader(const std::string& figure, const FigOptions& options);
 void PrintSummaries(const std::vector<core::ExperimentResult>& results);

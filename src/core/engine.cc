@@ -176,16 +176,6 @@ Status Engine::Setup() {
   sim_cfg.num_sources = static_cast<sim::SourceId>(config_.num_peers) + 1;
   sim_ = std::make_unique<sim::ShardedSimulator>(sim_cfg);
   shards_.resize(num_shards_);
-  // Queue capacity for the in-flight working set: a periodic run's standing
-  // maintenance tick per peer, plus one event per peer and fixed headroom
-  // for the messages, deadlines, cleanups, armed ticks and arrival in
-  // flight. Reserved capacity stays address space until events use it, while
-  // outgrowing it relocates the whole slab and can strand the old one in the
-  // heap — so the budget errs large.
-  const size_t events_per_peer = maintenance_ == Maintenance::kPeriodic ? 2 : 1;
-  for (sim::ShardId s = 0; s < num_shards_; ++s) {
-    sim_->ReserveEvents(s, events_per_peer * placement_.shard_peer_counts()[s] + 1024);
-  }
 
   // 3c. Shard-local arenas, reserved from the placement's peer counts. Every
   // arena-aware container a shard's peers own (overlay adjacency rows, file
@@ -283,7 +273,6 @@ Status Engine::Setup() {
         n.neighbor_degree[nb] = static_cast<uint32_t>(graph_->Degree(nb));
       }
     }
-    ScheduleChurnTimeline();
   }
 
   // 6b. Chord ring + initial routing tables. The ring order is an immutable
@@ -302,6 +291,30 @@ Status Engine::Setup() {
                          nodes_[p].dht.get());
     }
   }
+
+  // 6c. Queue capacity for the in-flight working set, per shard: a periodic
+  // run's standing maintenance tick per peer, every churn transition the
+  // timeline queues up front, plus one event per peer and fixed headroom for
+  // the messages, deadlines, cleanups, armed ticks and arrival in flight
+  // (the DHT's first publish round, its peak, holds ~0.6 per peer at 5000
+  // peers). Reserved capacity stays address space until events use it, while
+  // outgrowing it relocates the whole slab and can strand the old one in the
+  // heap — so the budget errs large.
+  {
+    const size_t events_per_peer = maintenance_ == Maintenance::kPeriodic ? 2 : 1;
+    std::vector<size_t> budget(num_shards_, 1024);
+    const sim::SimTime horizon = RunHorizon();
+    for (PeerId p = 0; p < config_.num_peers; ++p) {
+      size_t& b = budget[shard_of(p)];
+      b += events_per_peer;
+      if (config_.churn.enabled) {
+        const std::vector<sim::SimTime>& trans = churn_timeline_.transitions(p);
+        b += std::upper_bound(trans.begin(), trans.end(), horizon) - trans.begin();
+      }
+    }
+    for (sim::ShardId s = 0; s < num_shards_; ++s) sim_->ReserveEvents(s, budget[s]);
+  }
+  if (config_.churn.enabled) ScheduleChurnTimeline();
 
   // 7. Maintenance (index expiry; Locaware Bloom gossip; under churn, orphan
   // re-attachment — a lone probe lost to a mid-flight departure must not
@@ -665,9 +678,13 @@ void Engine::DeliverQuery(PeerId to, PeerId from, const QueryPayloadRef& msg_ref
   if (!graph_->IsAlive(to)) return;  // lost on a dead peer
   const overlay::QueryMessage& msg = *msg_ref;
   if (msg.origin == to) return;  // back at its origin: a duplicate
+  // A copy arriving after its shard's cleanup is dropped: admitting it would
+  // re-create a hop table that no later event erases.
+  const sim::ShardId shard = shard_of(to);
+  if (SlotOf(shard, msg.qid) == SIZE_MAX) return;
   // The reverse-path hop doubles as the seen-query record: a second copy
   // finds it and is dropped as a duplicate.
-  if (!shards_[shard_of(to)].routes.Admit(msg.qid, to, from)) return;
+  if (!shards_[shard].routes.Admit(msg.qid, to, from)) return;
 
   // Answer from the shared-file store first, then the response index
   // ("either in its file storage or in its response index", §4.2).

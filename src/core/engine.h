@@ -309,8 +309,11 @@ class Engine {
 
   // --- Chord DHT (engine_dht.cc; dht protocol only) ---
 
-  /// Begins a store-purpose lookup routing (kw, file) to the key's owner.
-  void StartDhtStore(PeerId publisher, KeywordId kw, FileId file);
+  /// One step of a recursive publish at `at` (the publisher, then every hop),
+  /// on `at`'s own tables: installs the store when `at` is alone, else
+  /// charges and sends it to the next hop, marked `to_owner` when that hop
+  /// is the key's owner.
+  void DhtRouteStore(PeerId at, overlay::DhtStoreMessage store);
   /// Sends one DhtLookup request for session `session` and charges it.
   void DhtSendLookup(PeerId initiator, uint64_t session, PeerId to,
                      overlay::DhtLookupMode mode);
@@ -328,7 +331,8 @@ class Engine {
   void DhtMaintenance(PeerId p);
   /// Recomputes p's successor/finger tables against the current online set.
   void DhtStabilize(PeerId p);
-  /// Publishes every (keyword, file) of p's file store toward its owner.
+  /// Publishes every (keyword, file) of p's file store: one store each,
+  /// routed recursively to the keyword's owner.
   void DhtPublish(PeerId p);
 
   /// Metrics slot of a query in `shard`, or SIZE_MAX after cleanup.

@@ -1,7 +1,7 @@
-// Chord DHT engine plumbing (PR 10): iterative lookups, publish-on-store,
-// stabilization under churn — all shard-safe messages through the event
-// queue, never direct cross-peer reads. Wire contract and invariants are
-// documented in src/dht/README.md.
+// Chord DHT engine plumbing: iterative query lookups, recursively
+// routed publishes, stabilization under churn — all shard-safe messages
+// through the event queue, never direct cross-peer reads. Wire contract and
+// invariants are documented in src/dht/README.md.
 #include <algorithm>
 #include <vector>
 
@@ -16,8 +16,9 @@ namespace {
 /// the way ri.max_providers_per_file bounds the unstructured index.
 constexpr size_t kMaxStoredProvidersPerFile = 8;
 
-/// Routing-loop circuit breaker. A consistent 2^64 ring resolves in at most
-/// 64 halvings; anything past that is repair lag chasing its own tail.
+/// Routing-loop circuit breaker for lookups and routed stores. A consistent
+/// 2^64 ring resolves in at most 64 halvings; anything past that is repair
+/// lag chasing its own tail.
 constexpr uint32_t kMaxLookupHops = 64;
 
 // Every DHT delivery closure ([this, peer, message]) must ride the
@@ -55,7 +56,6 @@ void Engine::StartDhtQueryLookup(const overlay::QueryMessage& query) {
   const uint64_t session =
       (static_cast<uint64_t>(origin) << 32) | (rt.next_session++ & 0xffffffffULL);
   dht::LookupState st;
-  st.purpose = dht::LookupState::Purpose::kQuery;
   st.qid = query.qid;
   st.kw = query.route_kw;
   st.key = key;
@@ -69,41 +69,21 @@ void Engine::StartDhtQueryLookup(const overlay::QueryMessage& query) {
                         : overlay::DhtLookupMode::kRoute);
 }
 
-void Engine::StartDhtStore(PeerId publisher, KeywordId kw, FileId file) {
-  dht::RoutingState& rt = *node(publisher).dht;
-  const dht::RingId key = dht::RingIdOfKey(catalog_.KeywordFnv(kw));
-  const overlay::ProviderInfo self{publisher, node(publisher).loc_id};
-  const dht::HopDecision hd = dht::NextHop(rt, publisher, key);
+void Engine::DhtRouteStore(PeerId at, overlay::DhtStoreMessage store) {
+  const dht::RingId key = dht::RingIdOfKey(catalog_.KeywordFnv(store.kw));
+  const dht::HopDecision hd = dht::NextHop(*node(at).dht, at, key);
   if (hd.done && hd.next == kInvalidPeer) {
-    DhtStoreLocal(publisher, kw, file, self);  // alone: every key is ours
+    DhtStoreLocal(at, store.kw, store.file, store.provider);  // alone: ours
     return;
   }
-  if (hd.done) {
-    // The owner is our direct successor: skip the routing session.
-    overlay::DhtStoreMessage store;
-    store.publisher = publisher;
-    store.publisher_epoch = graph_->session_epoch(publisher);
-    store.kw = kw;
-    store.file = file;
-    store.provider = self;
-    CollectorAt(publisher).AddDhtStoreTraffic(1, EstimateSizeBytes(store, catalog_));
-    const PeerId owner = hd.next;
-    ScheduleFromNode(publisher, owner, OneWayDelay(publisher, owner),
-                     [this, owner, store] { DeliverDhtStore(owner, store); });
-    return;
-  }
-  const uint64_t session = (static_cast<uint64_t>(publisher) << 32) |
-                           (rt.next_session++ & 0xffffffffULL);
-  dht::LookupState st;
-  st.purpose = dht::LookupState::Purpose::kStore;
-  st.kw = kw;
-  st.file = file;
-  st.key = key;
-  st.asked = hd.next;
-  st.hops = 1;
-  st.started_at = sim_->Now();
-  rt.lookups.try_emplace(session, st);
-  DhtSendLookup(publisher, session, hd.next, overlay::DhtLookupMode::kRoute);
+  // Past the hop cap the store is dropped; the next republish retries.
+  if (store.hops >= kMaxLookupHops) return;
+  ++store.hops;
+  store.to_owner = hd.done;
+  CollectorAt(at).AddDhtStoreTraffic(1, EstimateSizeBytes(store, catalog_));
+  const PeerId next = hd.next;
+  ScheduleFromNode(at, next, OneWayDelay(at, next),
+                   [this, next, store] { DeliverDhtStore(next, store); });
 }
 
 void Engine::DhtSendLookup(PeerId initiator, uint64_t session, PeerId to,
@@ -121,23 +101,14 @@ void Engine::DhtSendLookup(PeerId initiator, uint64_t session, PeerId to,
   msg.kw = st.kw;
   msg.qid = st.qid;
   msg.mode = mode;
-  msg.purpose = st.purpose == dht::LookupState::Purpose::kQuery
-                    ? overlay::DhtSessionPurpose::kQuery
-                    : overlay::DhtSessionPurpose::kStore;
 
-  // Query-driven lookup traffic is search traffic, charged to the query's
-  // slot like forwarded query copies; publish routing is maintenance,
-  // charged to the global dht_store counters.
-  const size_t bytes = EstimateSizeBytes(msg, catalog_);
-  if (st.purpose == dht::LookupState::Purpose::kQuery) {
-    const size_t slot = SlotOf(shard_of(initiator), st.qid);
-    if (slot != SIZE_MAX) {
-      metrics::QueryRecord* record = CollectorAt(initiator).Record(slot);
-      ++record->query_msgs;
-      record->query_bytes += bytes;
-    }
-  } else {
-    CollectorAt(initiator).AddDhtStoreTraffic(1, bytes);
+  // Lookup traffic is search traffic, charged to the query's slot like
+  // forwarded query copies.
+  const size_t slot = SlotOf(shard_of(initiator), st.qid);
+  if (slot != SIZE_MAX) {
+    metrics::QueryRecord* record = CollectorAt(initiator).Record(slot);
+    ++record->query_msgs;
+    record->query_bytes += EstimateSizeBytes(msg, catalog_);
   }
   ScheduleFromNode(initiator, to, OneWayDelay(initiator, to),
                    [this, to, msg] { DeliverDhtLookup(to, msg); });
@@ -199,21 +170,17 @@ void Engine::DeliverDhtLookup(PeerId to, const overlay::DhtLookupMessage& msg) {
   // The route replies are search traffic too; the final records reply is a
   // response (so a DHT-answered query satisfies the response-accounting
   // invariants exactly like a cache hit).
-  const size_t bytes = EstimateSizeBytes(reply, catalog_);
-  if (msg.purpose == overlay::DhtSessionPurpose::kQuery) {
-    const size_t slot = SlotOf(shard_of(to), msg.qid);
-    if (slot != SIZE_MAX) {
-      metrics::QueryRecord* record = CollectorAt(to).Record(slot);
-      if (msg.mode == overlay::DhtLookupMode::kGetProviders) {
-        ++record->response_msgs;
-        record->response_bytes += bytes;
-      } else {
-        ++record->query_msgs;
-        record->query_bytes += bytes;
-      }
+  const size_t slot = SlotOf(shard_of(to), msg.qid);
+  if (slot != SIZE_MAX) {
+    metrics::QueryRecord* record = CollectorAt(to).Record(slot);
+    const size_t bytes = EstimateSizeBytes(reply, catalog_);
+    if (msg.mode == overlay::DhtLookupMode::kGetProviders) {
+      ++record->response_msgs;
+      record->response_bytes += bytes;
+    } else {
+      ++record->query_msgs;
+      record->query_bytes += bytes;
     }
-  } else {
-    CollectorAt(to).AddDhtStoreTraffic(1, bytes);
   }
   const PeerId initiator = msg.initiator;
   ScheduleFromNode(to, initiator, OneWayDelay(to, initiator),
@@ -258,8 +225,7 @@ void Engine::DeliverDhtResponse(PeerId to, overlay::DhtResponseMessage msg) {
 
   if (!msg.done) {
     // No progress (the responder had no better candidate, or we are looping)
-    // is a dead end: drop the session. Query failures surface at the
-    // deadline; store routes retry at the next republish.
+    // is a dead end: drop the session. The failure surfaces at the deadline.
     if (msg.next == kInvalidPeer || msg.next == st.asked ||
         st.hops >= kMaxLookupHops) {
       rt.lookups.erase(msg.session);
@@ -272,48 +238,33 @@ void Engine::DeliverDhtResponse(PeerId to, overlay::DhtResponseMessage msg) {
   }
 
   const PeerId owner = msg.next;
-  if (st.purpose == dht::LookupState::Purpose::kQuery) {
-    if (owner == to) {
-      DhtServeFromOwnStore(to, st.kw, st.qid);
-      CollectorAt(to).AddDhtHops(st.hops);
-      rt.lookups.erase(msg.session);
-      return;
-    }
-    st.asked = owner;
-    st.fetching = true;
-    ++st.hops;
-    DhtSendLookup(to, msg.session, owner, overlay::DhtLookupMode::kGetProviders);
+  if (owner == to) {
+    DhtServeFromOwnStore(to, st.kw, st.qid);
+    CollectorAt(to).AddDhtHops(st.hops);
+    rt.lookups.erase(msg.session);
     return;
   }
-
-  // Store purpose: install at the resolved owner and finish the session.
-  if (owner == to) {
-    DhtStoreLocal(to, st.kw, st.file, overlay::ProviderInfo{to, node(to).loc_id});
-  } else {
-    overlay::DhtStoreMessage store;
-    store.publisher = to;
-    store.publisher_epoch = graph_->session_epoch(to);
-    store.kw = st.kw;
-    store.file = st.file;
-    store.provider = overlay::ProviderInfo{to, node(to).loc_id};
-    CollectorAt(to).AddDhtStoreTraffic(1, EstimateSizeBytes(store, catalog_));
-    ScheduleFromNode(to, owner, OneWayDelay(to, owner),
-                     [this, owner, store] { DeliverDhtStore(owner, store); });
-  }
-  rt.lookups.erase(msg.session);
+  st.asked = owner;
+  st.fetching = true;
+  ++st.hops;
+  DhtSendLookup(to, msg.session, owner, overlay::DhtLookupMode::kGetProviders);
 }
 
 void Engine::DeliverDhtStore(PeerId to, const overlay::DhtStoreMessage& msg) {
-  if (!graph_->IsAlive(to)) return;  // lost on a dead owner
-  // A store from an ended session is stale by definition; the publisher's
-  // rejoin republishes everything it still shares.
+  if (!graph_->IsAlive(to)) return;  // lost on a dead hop
+  // A store from an ended session is stale by definition, at every hop; the
+  // publisher's rejoin republishes everything it still shares.
   if (config_.churn.enabled &&
       (!churn_timeline_.IsOnlineAt(msg.publisher, sim_->Now()) ||
        churn_timeline_.SessionEpochAt(msg.publisher, sim_->Now()) !=
            msg.publisher_epoch)) {
     return;
   }
-  DhtStoreLocal(to, msg.kw, msg.file, msg.provider);
+  if (msg.to_owner) {
+    DhtStoreLocal(to, msg.kw, msg.file, msg.provider);
+  } else {
+    DhtRouteStore(to, msg);
+  }
 }
 
 void Engine::DhtStoreLocal(PeerId owner, KeywordId kw, FileId file,
@@ -397,7 +348,7 @@ void Engine::DhtMaintenance(PeerId p) {
   }
 
   // Sweep lookup sessions whose outcome no longer matters: the query's
-  // deadline has long passed (or the store route died en route).
+  // deadline has long passed (or the route died en route).
   std::vector<uint64_t> stale;
   for (const auto& slot : rt.lookups) {
     if (slot.second.started_at + 2 * config_.params.query_deadline < now) {
@@ -418,9 +369,15 @@ void Engine::DhtStabilize(PeerId p) {
 
 void Engine::DhtPublish(PeerId p) {
   const NodeState& n = node(p);
+  overlay::DhtStoreMessage store;
+  store.publisher = p;
+  store.publisher_epoch = graph_->session_epoch(p);
+  store.provider = overlay::ProviderInfo{p, n.loc_id};
   for (FileId f : n.file_store) {
+    store.file = f;
     for (KeywordId kw : catalog_.sorted_keywords(f)) {
-      StartDhtStore(p, kw, f);
+      store.kw = kw;
+      DhtRouteStore(p, store);
     }
   }
 }

@@ -11,12 +11,13 @@
 //     peers online), on every maintenance tick under churn, and on rejoin —
 //     the PR 3 idiom of reading the churn timeline as a bootstrap directory
 //     instead of mutating remote peers.
-//   * NextHop — one step of the iterative find_successor: either "done, the
-//     owner is X" or "ask Y next". The closest-preceding scan over the
-//     finger FlatMap is an order-insensitive max over ring distance, which
-//     is the one case raw table-order iteration is legal (see
-//     common/flat_map.h); every other walk in the subsystem collects and
-//     sorts first.
+//   * NextHop — one step of find_successor: either "done, the owner is X"
+//     or "ask Y next" (a query lookup's initiator asks Y; a routed store
+//     goes to Y, which takes the next step itself). The closest-preceding
+//     scan over the finger FlatMap is an order-insensitive max over ring
+//     distance, which is the one case raw table-order iteration is legal
+//     (see common/flat_map.h); every other walk in the subsystem collects
+//     and sorts first.
 //
 // Tables are arena-bound flat containers: the engine binds each peer's
 // FlatMaps/SmallVectors to its shard's arena at setup, so steady-state
@@ -51,16 +52,11 @@ struct StoredProvider {
 /// deterministic). Inline 4 covers the catalog's ~1 file/keyword shape.
 using StoreList = SmallVector<StoredProvider, 4>;
 
-/// An in-flight iterative lookup driven by its initiator.
+/// An in-flight iterative query lookup driven by its initiator. Publishes
+/// route recursively and hold no session.
 struct LookupState {
-  enum class Purpose : uint8_t {
-    kQuery,  ///< resolving providers for a submitted query
-    kStore,  ///< routing a publish to the key's owner
-  };
-  Purpose purpose = Purpose::kQuery;
-  QueryId qid = 0;                  ///< meaningful iff purpose == kQuery
+  QueryId qid = 0;                  ///< the query being resolved
   KeywordId kw = kInvalidKeyword;   ///< the keyword being resolved
-  FileId file = kInvalidFile;       ///< meaningful iff purpose == kStore
   RingId key = 0;                   ///< ring position of `kw`
   PeerId asked = kInvalidPeer;      ///< node the in-flight request went to
   /// True once the route resolved and the in-flight request is the final
@@ -82,7 +78,7 @@ struct RoutingState {
   FlatMap<uint32_t, PeerId> fingers;
   /// The owner-side keyword -> provider-record store.
   FlatMap<KeywordId, StoreList> store;
-  /// In-flight lookups this peer initiated, keyed by session id.
+  /// In-flight query lookups this peer initiated, keyed by session id.
   FlatMap<uint64_t, LookupState> lookups;
   /// Node-local session counter; advances in node-local event order, so
   /// session ids are shard-count invariant (same rule as `link_round`).
@@ -139,8 +135,8 @@ void ComputeTables(const Ring& ring, PeerId self, size_t num_successors,
   }
 }
 
-/// One routing decision of the iterative find_successor(key), taken at the
-/// node owning `rt`.
+/// One routing decision of find_successor(key), taken at the node owning
+/// `rt`.
 struct HopDecision {
   bool done = false;         ///< true: `next` is the owner of `key`
   PeerId next = kInvalidPeer;  ///< owner (done) or next node to ask; kInvalidPeer

@@ -77,9 +77,10 @@ size_t EstimateSizeBytes(const DhtResponseMessage& m, const WireNames& names) {
 }
 
 size_t EstimateSizeBytes(const DhtStoreMessage& m, const WireNames& names) {
-  // publisher + epoch + keyword + filename + the provider record.
+  // publisher + epoch + keyword + filename + the provider record + one byte
+  // for the hop count and the owner bit.
   return kDescriptorHeader + kAddress + 4 + names.KeywordWireBytes(m.kw) + 1 +
-         names.FilenameWireBytes(m.file) + 1 + (kAddress + kLocId);
+         names.FilenameWireBytes(m.file) + 1 + (kAddress + kLocId) + 1;
 }
 
 }  // namespace locaware::overlay

@@ -172,10 +172,12 @@ struct LinkAcceptMessage {
 
 // --- Chord-style DHT (src/dht/, PR 10) --------------------------------------
 //
-// Iterative lookups: the initiator sends every request and processes every
-// response, so session state never leaves the initiator's shard. Messages
-// carry the keyword *id* (interning invariant) plus the sender's session
-// epoch so receivers can reject requests from ended sessions
+// Query lookups are iterative: the initiator sends every request and
+// processes every response, so session state never leaves the initiator's
+// shard. Publishes are recursive: one DhtStore walks the route, each hop
+// forwarding it on its own tables, with no replies and no session. Messages
+// carry the keyword *id* (interning invariant) plus the originator's session
+// epoch so receivers can reject traffic from ended sessions
 // (ChurnTimeline::SessionEpochAt — the DeliverLinkProbe pattern).
 
 /// What a DhtLookupMessage asks of the receiver.
@@ -184,14 +186,8 @@ enum class DhtLookupMode : uint8_t {
   kGetProviders = 1,  ///< "send me the records you hold for this keyword"
 };
 
-/// Which kind of session a DHT lookup serves; decides where its traffic is
-/// charged (query slot vs. the global dht_store counters).
-enum class DhtSessionPurpose : uint8_t {
-  kQuery = 0,  ///< resolving providers for a submitted query
-  kStore = 1,  ///< routing a publish to the key's owner
-};
-
-/// One iterative routing/fetch request, initiator -> queried node.
+/// One iterative routing/fetch request of a query lookup, initiator ->
+/// queried node.
 struct DhtLookupMessage {
   PeerId initiator = kInvalidPeer;
   /// Initiator's session epoch at send time; receivers drop stale sessions.
@@ -199,9 +195,8 @@ struct DhtLookupMessage {
   uint64_t session = 0;           ///< (initiator << 32) | node-local counter
   uint64_t key = 0;               ///< ring position being resolved
   KeywordId kw = kInvalidKeyword; ///< the keyword the key was derived from
-  QueryId qid = 0;                ///< meaningful iff purpose == kQuery
+  QueryId qid = 0;                ///< the query the lookup resolves
   DhtLookupMode mode = DhtLookupMode::kRoute;
-  DhtSessionPurpose purpose = DhtSessionPurpose::kQuery;
 };
 
 /// Reply to a DhtLookupMessage, queried node -> initiator.
@@ -218,14 +213,17 @@ struct DhtResponseMessage {
   RecordVec records;
 };
 
-/// Install one provider record at the resolved owner, publisher -> owner.
+/// One provider record routed hop by hop to its keyword's owner.
 struct DhtStoreMessage {
   PeerId publisher = kInvalidPeer;
-  /// Publisher's session epoch; the owner drops stores from ended sessions.
+  /// Publisher's session epoch; every hop drops stores from ended sessions.
   uint32_t publisher_epoch = 0;
   KeywordId kw = kInvalidKeyword;
   FileId file = kInvalidFile;
   ProviderInfo provider;  ///< the publisher itself (address + locId)
+  uint8_t hops = 0;       ///< messages the route has taken, this one included
+  /// The sender resolved the receiver as the owner: install, do not route.
+  bool to_owner = false;
 };
 
 /// Estimated wire sizes in bytes, for the bandwidth metric. The constants

@@ -125,6 +125,7 @@ SimTime ShardedSimulator::Now() const {
 void ShardedSimulator::ReserveEvents(ShardId shard, size_t expected_events) {
   LOCAWARE_CHECK_LT(shard, shards_.size());
   shards_[shard].queue.Reserve(expected_events);
+  shards_[shard].reserved = expected_events;
 }
 
 uint64_t ShardedSimulator::executed_count() const {
@@ -145,6 +146,12 @@ size_t ShardedSimulator::pending_count() const {
 size_t ShardedSimulator::queued_high_water() const {
   size_t total = 0;
   for (const Shard& shard : shards_) total += shard.queue.high_water();
+  return total;
+}
+
+size_t ShardedSimulator::reserved_events() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) total += shard.reserved;
   return total;
 }
 

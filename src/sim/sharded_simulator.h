@@ -204,6 +204,9 @@ class ShardedSimulator {
   /// depends on the shard count and on when mailboxes drain, so it stays
   /// out of metric JSON.
   size_t queued_high_water() const;
+  /// Sum over shards of the capacity last asked for with ReserveEvents: the
+  /// budget queued_high_water() should stay within. Reporting only, like it.
+  size_t reserved_events() const;
   /// Synchronization windows completed over the simulator's lifetime (0 for
   /// single-shard runs, which need none).
   uint64_t windows() const { return windows_; }
@@ -217,6 +220,7 @@ class ShardedSimulator {
   /// share cache lines.
   struct alignas(64) Shard {
     EventQueue queue;
+    size_t reserved = 0;  ///< last ReserveEvents request
     SimTime now = 0;
     uint64_t executed = 0;
     /// outbox[d]: events bound for shard d, flushed at the next barrier.

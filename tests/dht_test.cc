@@ -2,7 +2,8 @@
 // convergence, and the churn-fuzz findability invariant ("every live
 // published key is findable after stabilization"). The pure-table tests
 // drive dht/routing.h directly against the Ring's ground-truth successor;
-// the engine tests pin the protocol-level counters.
+// the engine tests pin the protocol-level counters, where each recursively
+// routed publish lands and what it costs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -277,6 +278,98 @@ TEST(DhtEngineTest, PaperProtocolsNeverTouchDhtCounters) {
   }
 }
 
+/// A static DHT world whose run spans exactly one publish round: ticks every
+/// second put every peer's first publish ahead of the first download (the
+/// 5 s deadline), and the run ends long before the 600 s republish.
+core::ExperimentConfig OneRoundConfig() {
+  core::ExperimentConfig cfg = SmallConfig(core::ProtocolKind::kDht, 7);
+  cfg.params.maintenance_interval = sim::kSecond;
+  return cfg;
+}
+
+TEST(DhtPublishTest, OneRoundPlacesEveryPairAtItsOwnerForRouteLengthPlusOne) {
+  auto e = std::move(core::Engine::Create(OneRoundConfig())).ValueOrDie();
+  const catalog::FileCatalog& files = e->catalog();
+  const Ring& ring = e->dht_ring();
+  ASSERT_LT(e->workload().queries().back().submit_time,
+            OneRoundConfig().params.dht_republish_interval);
+
+  // What the round publishes: every (keyword, file) of every file store, read
+  // before any download. Each store costs its route length + 1 messages:
+  // one per forwarding step on the static tables, one into the owner.
+  struct Pair {
+    PeerId publisher;
+    KeywordId kw;
+    FileId file;
+  };
+  std::vector<Pair> pairs;
+  uint64_t want_msgs = 0;
+  for (PeerId p = 0; p < e->num_peers(); ++p) {
+    for (FileId f : e->node(p).file_store) {
+      for (KeywordId kw : files.sorted_keywords(f)) {
+        pairs.push_back({p, kw, f});
+        const RingId key = RingIdOfKey(files.KeywordFnv(kw));
+        for (PeerId at = p;;) {
+          const HopDecision hd = NextHop(*e->node(at).dht, at, key);
+          ASSERT_NE(hd.next, kInvalidPeer) << "a static ring has no lone peer";
+          ++want_msgs;
+          if (hd.done) break;
+          at = hd.next;
+        }
+      }
+    }
+  }
+  ASSERT_FALSE(pairs.empty());
+
+  e->Run();
+  const metrics::Summary s = metrics::Summarize(e->metrics());
+  EXPECT_EQ(s.dht_store_msgs, want_msgs);
+  const double log_n = std::ceil(std::log2(static_cast<double>(e->num_peers())));
+  EXPECT_LE(static_cast<double>(s.dht_store_msgs),
+            static_cast<double>(pairs.size()) * (log_n + 1));
+
+  // Every pair sits in the store of its owner, found by a linear scan for the
+  // peer at the least clockwise distance from the key (all peers online).
+  for (const Pair& pair : pairs) {
+    const RingId key = RingIdOfKey(files.KeywordFnv(pair.kw));
+    PeerId owner = kInvalidPeer;
+    RingId owner_dist = 0;
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const RingId d = RingDistance(key, ring.IdAt(i));
+      if (owner == kInvalidPeer || d < owner_dist) {
+        owner = ring.PeerAt(i);
+        owner_dist = d;
+      }
+    }
+    const auto& store = e->node(owner).dht->store;
+    auto it = store.find(pair.kw);
+    ASSERT_NE(it, store.end()) << "keyword " << pair.kw << " missing at " << owner;
+    const auto held = [&](const StoredProvider& sp) {
+      return sp.file == pair.file && sp.provider == pair.publisher;
+    };
+    EXPECT_TRUE(std::any_of(it->second.begin(), it->second.end(), held))
+        << "file " << pair.file << " of " << pair.publisher << " missing at " << owner;
+  }
+
+  // Publishing opened no session: the session counters advanced once per
+  // query lookup, and whatever sessions remain belong to a query of the
+  // peer's own, on one of its keywords.
+  uint64_t sessions = 0;
+  std::set<std::pair<QueryId, PeerId>> origins;
+  for (const catalog::QueryEvent& ev : e->workload().queries()) {
+    origins.insert({ev.id, ev.requester});
+  }
+  for (PeerId p = 0; p < e->num_peers(); ++p) {
+    const RoutingState& rt = *e->node(p).dht;
+    sessions += rt.next_session;
+    for (const auto& slot : rt.lookups) {
+      EXPECT_EQ(slot.first >> 32, p);
+      EXPECT_EQ(origins.count({slot.second.qid, p}), 1u) << "session " << slot.first;
+    }
+  }
+  EXPECT_EQ(sessions, s.dht_lookups);
+}
+
 /// Keys of the metric JSON's flat "summary" object.
 std::set<std::string> SummaryKeys(const std::string& json) {
   const size_t open = json.find('{', json.find("\"summary\""));
@@ -305,6 +398,21 @@ TEST(DhtEngineTest, ResultToJsonCarriesExactlyTheFourDhtCounters) {
                                           "dht_store_bytes"};
   EXPECT_EQ(dht_only, dht_keys);
   for (const std::string& key : dht_keys) EXPECT_EQ(locaware.count(key), 0u) << key;
+}
+
+// The 5000-peer DHT churn world (perfbench's dht_churn): the timeline's
+// transitions and the first publish round queue together, and the queue must
+// never outgrow what Create reserved for it.
+TEST(DhtEngineTest, ChurnWorldQueueStaysWithinItsReservation) {
+  core::ExperimentConfig cfg =
+      core::MakePaperConfig(core::ProtocolKind::kDht, /*num_queries=*/4000, /*seed=*/42);
+  cfg.num_peers = 5000;
+  cfg.churn.enabled = true;
+  auto e = std::move(core::Engine::Create(cfg)).ValueOrDie();
+  e->Run();
+  const sim::ShardedSimulator& sim = e->simulator();
+  EXPECT_GT(sim.queued_high_water(), 2 * cfg.num_peers);
+  EXPECT_LE(sim.queued_high_water(), sim.reserved_events());
 }
 
 }  // namespace

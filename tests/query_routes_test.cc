@@ -111,5 +111,23 @@ TEST(QueryRoutesTest, ChurnRunDrainsEveryShardsRoutesAtAnyShardCount) {
   }
 }
 
+// A deadline shorter than the slowest forwarding path: copies still in flight
+// reach shards whose cleanup already ran. They must be dropped, not admitted
+// into a hop table that nothing erases afterwards.
+TEST(QueryRoutesTest, CopiesArrivingAfterCleanupLeaveNoRoutesBehind) {
+  for (uint32_t shards : {1u, 4u}) {
+    ExperimentConfig cfg = MakePaperConfig(ProtocolKind::kFlooding, /*num_queries=*/300,
+                                           /*seed=*/42);
+    cfg.num_peers = 300;
+    cfg.underlay.num_routers = 40;
+    cfg.params.query_deadline = 100 * sim::kMillisecond;
+    cfg.scheduler.shards = shards;
+    auto e = std::move(Engine::Create(cfg)).ValueOrDie();
+    e->Run();
+    EXPECT_EQ(e->routed_query_count(), 0u) << shards << " shards";
+    EXPECT_EQ(e->tracked_query_count(), 0u) << shards << " shards";
+  }
+}
+
 }  // namespace
 }  // namespace locaware::core
