@@ -104,12 +104,15 @@ int main(int argc, char** argv) {
       "protocols gain as skew rises ('zipf=1.2'), because repeat queries for\n"
       "the head keep their indexes hot, but they stay well below flooding at a\n"
       "small fraction of its traffic. The DHT resolves every published key in\n"
-      "O(log n) hops whatever its rank: it beats flooding's success with the\n"
-      "lowest msgs/q here. maint/q is its price: every peer publishes, and\n"
+      "O(log n) hops whatever its rank: a lookup rides its route to the key's\n"
+      "owner, which answers the requester directly, so it costs its route\n"
+      "length + 1 messages and beats flooding's success with the lowest\n"
+      "msgs/q here. maint/q is its price: every peer publishes, and\n"
       "periodically republishes, each of its files' keywords to the key's\n"
       "owner, one routed store per (keyword, file) costing its route length\n"
-      "+ 1 messages. That alone is over ten times both Locaware's Bloom\n"
-      "gossip and the DHT's own search traffic; Flooding and Dicas pay none.\n"
+      "+ 1 messages. That alone is about twenty times the DHT's own search\n"
+      "traffic and more than Locaware's Bloom gossip and search together;\n"
+      "Flooding and Dicas pay none.\n"
       "Judge cost by total/q (msgs/q + maint/q): the DHT's total is about\n"
       "three times Locaware's and far below flooding's.\n");
   return 0;

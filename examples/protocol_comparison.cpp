@@ -86,10 +86,11 @@ int main(int argc, char** argv) {
       "more queries than either Dicas variant, and downloads from closer\n"
       "providers — the paper's three claims on one screen. The DHT row is the\n"
       "structured baseline: Chord lookups reach flooding-level success with\n"
-      "the fewest search messages, but every peer also publishes and\n"
-      "republishes its files' keywords to their ring owners. Counting that\n"
-      "maint/query, the DHT's total lands near Locaware's here and far below\n"
-      "flooding's. Publishing is paid per republish round, not per query, so\n"
-      "its share shrinks as the query load grows.\n");
+      "the fewest search messages (each rides its route to the key's owner,\n"
+      "which answers the requester directly), but every peer also publishes\n"
+      "and republishes its files' keywords to their ring owners. Counting\n"
+      "that maint/query, the DHT's total lands below Locaware's here and far\n"
+      "below flooding's. Publishing is paid per republish round, not per\n"
+      "query, so its share shrinks as the query load grows.\n");
   return 0;
 }

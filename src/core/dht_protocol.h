@@ -26,7 +26,7 @@ class DhtProtocol final : public Protocol {
   overlay::RecordVec AnswerFromIndex(Engine& engine, PeerId node,
                                      const overlay::QueryMessage& query) override;
 
-  /// Every submitted query starts an iterative DHT lookup on its routing
+  /// Every submitted query starts a recursive DHT lookup on its routing
   /// keyword.
   void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query) override;
 

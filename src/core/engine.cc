@@ -638,7 +638,7 @@ void Engine::SubmitQuery(const catalog::QueryEvent& ev) {
 
   ForwardQuery(ev.requester, kInvalidPeer, query);
   // The protocol sees every query that left its origin unanswered — the DHT
-  // protocol starts its iterative lookup here.
+  // protocol starts its recursive lookup here.
   protocol_->OnQuerySubmitted(*this, query);
   ScheduleFromNode(ev.requester, ev.requester, config_.params.query_deadline,
                    [this, origin_id = ev.requester, qid = ev.id] {
@@ -923,8 +923,9 @@ void Engine::HandleDeparture(PeerId p) {
   n.neighbor_filters.clear();
   n.neighbor_gids.clear();
   n.neighbor_degree.clear();
-  // Routing tables, in-flight lookups and the owned keyword store die with
-  // the session; republish after rejoin repopulates the ring.
+  // Routing tables and the owned keyword store die with the session;
+  // republish after rejoin repopulates the ring. Lookups and stores in
+  // flight carry this session's epoch, so every hop drops them.
   if (uses_dht_) n.dht->ResetForDeparture();
 }
 

@@ -163,8 +163,10 @@ class Engine {
   /// The immutable DHT ring order (meaningful only for dht runs).
   const dht::Ring& dht_ring() const { return dht_ring_; }
 
-  /// Starts an iterative DHT lookup resolving providers for `query`'s routing
-  /// keyword, at the query's origin. Called by DhtProtocol for every query.
+  /// Starts a recursive DHT lookup resolving providers for `query`'s routing
+  /// keyword: one message that rides its route from the query's origin to
+  /// the keyword's owner, which answers the origin directly. Called by
+  /// DhtProtocol for every query.
   void StartDhtQueryLookup(const overlay::QueryMessage& query);
 
   /// Shard `s`'s arena — the spill source for every arena-aware container
@@ -309,20 +311,23 @@ class Engine {
 
   // --- Chord DHT (engine_dht.cc; dht protocol only) ---
 
-  /// One step of a recursive publish at `at` (the publisher, then every hop),
-  /// on `at`'s own tables: installs the store when `at` is alone, else
-  /// charges and sends it to the next hop, marked `to_owner` when that hop
-  /// is the key's owner.
-  void DhtRouteStore(PeerId at, overlay::DhtStoreMessage store);
-  /// Sends one DhtLookup request for session `session` and charges it.
-  void DhtSendLookup(PeerId initiator, uint64_t session, PeerId to,
-                     overlay::DhtLookupMode mode);
-  void DeliverDhtLookup(PeerId to, const overlay::DhtLookupMessage& msg);
+  /// One routing step of a recursive store or lookup at `at` (the
+  /// originator, then every hop), on `at`'s own tables: hands the message to
+  /// DhtAtOwner when `at` is alone on the ring, else charges and sends it to
+  /// the next hop, marked `to_owner` when that hop is the key's owner.
+  template <typename Msg>
+  void DhtRoute(PeerId at, Msg msg);
+  /// Drops `msg` at a dead hop or from an ended originator session, else
+  /// takes it to its owner or one step further.
+  template <typename Msg>
+  void DeliverDht(PeerId to, const Msg& msg);
+  /// Installs/refreshes the store's provider record in `owner`'s store.
+  void DhtAtOwner(PeerId owner, const overlay::DhtStoreMessage& store);
+  /// Answers a lookup at its owner: one records reply to the initiator, or,
+  /// when the owner is the initiator, its own store with no wire traffic.
+  void DhtAtOwner(PeerId owner, const overlay::DhtLookupMessage& lookup);
+  /// Folds an owner's records into the initiator's pending query.
   void DeliverDhtResponse(PeerId to, overlay::DhtResponseMessage msg);
-  void DeliverDhtStore(PeerId to, const overlay::DhtStoreMessage& msg);
-  /// Installs/refreshes a provider record in `owner`'s store.
-  void DhtStoreLocal(PeerId owner, KeywordId kw, FileId file,
-                     const overlay::ProviderInfo& provider);
   /// Appends the initiator's own owner-held providers for `kw` into the
   /// pending query (initiator-owns-key short circuit: no wire traffic, no
   /// responses_received bump — FinalizeQuery classifies it kLocalIndex).

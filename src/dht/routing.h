@@ -12,12 +12,11 @@
 //     the PR 3 idiom of reading the churn timeline as a bootstrap directory
 //     instead of mutating remote peers.
 //   * NextHop — one step of find_successor: either "done, the owner is X"
-//     or "ask Y next" (a query lookup's initiator asks Y; a routed store
-//     goes to Y, which takes the next step itself). The closest-preceding
-//     scan over the finger FlatMap is an order-insensitive max over ring
-//     distance, which is the one case raw table-order iteration is legal
-//     (see common/flat_map.h); every other walk in the subsystem collects
-//     and sorts first.
+//     or "forward to Y" (lookups and stores both route recursively: Y takes
+//     the next step itself). The closest-preceding scan over the finger
+//     FlatMap is an order-insensitive max over ring distance, which is the
+//     one case raw table-order iteration is legal (see common/flat_map.h);
+//     every other walk in the subsystem collects and sorts first.
 //
 // Tables are arena-bound flat containers: the engine binds each peer's
 // FlatMaps/SmallVectors to its shard's arena at setup, so steady-state
@@ -52,21 +51,8 @@ struct StoredProvider {
 /// deterministic). Inline 4 covers the catalog's ~1 file/keyword shape.
 using StoreList = SmallVector<StoredProvider, 4>;
 
-/// An in-flight iterative query lookup driven by its initiator. Publishes
-/// route recursively and hold no session.
-struct LookupState {
-  QueryId qid = 0;                  ///< the query being resolved
-  KeywordId kw = kInvalidKeyword;   ///< the keyword being resolved
-  RingId key = 0;                   ///< ring position of `kw`
-  PeerId asked = kInvalidPeer;      ///< node the in-flight request went to
-  /// True once the route resolved and the in-flight request is the final
-  /// kGetProviders fetch (its reply carries records, not a next hop).
-  bool fetching = false;
-  uint32_t hops = 0;                ///< request messages sent so far
-  sim::SimTime started_at = 0;
-};
-
-/// \brief All DHT state owned by one peer.
+/// \brief All DHT state owned by one peer. Nothing here is per lookup or per
+/// store: both ride their messages.
 struct RoutingState {
   /// The next `dht.successors` online peers clockwise from self (self
   /// excluded), nearest first.
@@ -78,29 +64,21 @@ struct RoutingState {
   FlatMap<uint32_t, PeerId> fingers;
   /// The owner-side keyword -> provider-record store.
   FlatMap<KeywordId, StoreList> store;
-  /// In-flight query lookups this peer initiated, keyed by session id.
-  FlatMap<uint64_t, LookupState> lookups;
-  /// Node-local session counter; advances in node-local event order, so
-  /// session ids are shard-count invariant (same rule as `link_round`).
-  uint64_t next_session = 0;
   sim::SimTime last_publish = kNeverPublished;
 
   void BindArena(common::Arena* arena) {
     successors.set_arena(arena);
     fingers.set_arena(arena);
     store.set_arena(arena);
-    lookups.set_arena(arena);
   }
 
-  /// Session death: routing entries, in-flight lookups and the owned store
-  /// all die with the session (Chord loses un-replicated records when their
-  /// holder leaves; re-publish repopulates the new owner). Arena bindings
-  /// survive `clear`.
+  /// Session death: routing entries and the owned store die with the session
+  /// (Chord loses un-replicated records when their holder leaves; re-publish
+  /// repopulates the new owner). Arena bindings survive `clear`.
   void ResetForDeparture() {
     successors.clear();
     fingers.clear();
     store.clear();
-    lookups.clear();
     last_publish = kNeverPublished;
   }
 };
@@ -139,7 +117,7 @@ void ComputeTables(const Ring& ring, PeerId self, size_t num_successors,
 /// `rt`.
 struct HopDecision {
   bool done = false;         ///< true: `next` is the owner of `key`
-  PeerId next = kInvalidPeer;  ///< owner (done) or next node to ask; kInvalidPeer
+  PeerId next = kInvalidPeer;  ///< owner (done) or next hop; kInvalidPeer
                                ///< with done=true means "self owns the key"
 };
 

@@ -116,17 +116,18 @@ class MetricsCollector {
   uint64_t repair_bytes() const { return repair_bytes_; }
 
   // --- Chord DHT counters (kDht only; all-zero otherwise) ---
-  /// One query-driven iterative lookup started.
+  /// One query-driven lookup started.
   void AddDhtLookup() { ++dht_lookups_; }
   uint64_t dht_lookups() const { return dht_lookups_; }
 
-  /// Request messages a completed query-driven lookup sent (route steps +
-  /// the final provider fetch); the mean hops metric is hops/lookups.
+  /// Route length of a completed query-driven lookup: the messages it took
+  /// from the initiator to the key's owner (0 for an initiator alone on the
+  /// ring); the mean hops metric is hops/lookups.
   void AddDhtHops(uint64_t hops) { dht_hops_ += hops; }
   uint64_t dht_hops() const { return dht_hops_; }
 
-  /// Publish-path traffic: store-routing requests/replies plus the final
-  /// DhtStore installs (maintenance cost of the structured index).
+  /// Publish-path traffic: every step of every routed DhtStore, the one into
+  /// the owner included (maintenance cost of the structured index).
   void AddDhtStoreTraffic(uint64_t messages, uint64_t bytes) {
     dht_store_msgs_ += messages;
     dht_store_bytes_ += bytes;

@@ -62,13 +62,14 @@ size_t EstimateSizeBytes(const LinkAcceptMessage& m) {
 }
 
 size_t EstimateSizeBytes(const DhtLookupMessage& m, const WireNames& names) {
-  // initiator + epoch + session + ring key + keyword string + mode byte.
-  return kDescriptorHeader + kAddress + 4 + 8 + 8 + names.KeywordWireBytes(m.kw) + 1 + 1;
+  // initiator + epoch + keyword + one byte for the hop count and the owner
+  // bit; the query id rides in the descriptor header's GUID.
+  return kDescriptorHeader + kAddress + 4 + names.KeywordWireBytes(m.kw) + 1 + 1;
 }
 
 size_t EstimateSizeBytes(const DhtResponseMessage& m, const WireNames& names) {
-  // responder + session + done/next, then records like a ResponseMessage.
-  size_t bytes = kDescriptorHeader + kAddress + 8 + 1 + kAddress;
+  // responder + echoed epoch + hop count, then records like a ResponseMessage.
+  size_t bytes = kDescriptorHeader + kAddress + 4 + 1;
   for (const ResponseRecord& r : m.records) {
     bytes += names.FilenameWireBytes(r.file) + 1;
     bytes += r.providers.size() * (kAddress + kLocId);

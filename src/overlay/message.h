@@ -172,44 +172,36 @@ struct LinkAcceptMessage {
 
 // --- Chord-style DHT (src/dht/, PR 10) --------------------------------------
 //
-// Query lookups are iterative: the initiator sends every request and
-// processes every response, so session state never leaves the initiator's
-// shard. Publishes are recursive: one DhtStore walks the route, each hop
-// forwarding it on its own tables, with no replies and no session. Messages
-// carry the keyword *id* (interning invariant) plus the originator's session
-// epoch so receivers can reject traffic from ended sessions
+// Query lookups and publishes are both recursive: one message walks the
+// route, each hop forwarding it on its own tables, and no peer holds a
+// session. A lookup's owner answers the initiator with one records reply; a
+// store is installed at its owner and not answered. Messages carry the
+// keyword *id* (interning invariant) plus the originator's session epoch so
+// receivers can reject traffic from ended sessions
 // (ChurnTimeline::SessionEpochAt — the DeliverLinkProbe pattern).
 
-/// What a DhtLookupMessage asks of the receiver.
-enum class DhtLookupMode : uint8_t {
-  kRoute = 0,         ///< "is the key yours, or who do I ask next?"
-  kGetProviders = 1,  ///< "send me the records you hold for this keyword"
-};
-
-/// One iterative routing/fetch request of a query lookup, initiator ->
-/// queried node.
+/// One query lookup routed hop by hop to its keyword's owner.
 struct DhtLookupMessage {
   PeerId initiator = kInvalidPeer;
-  /// Initiator's session epoch at send time; receivers drop stale sessions.
+  /// Initiator's session epoch; every hop drops lookups from ended sessions.
   uint32_t initiator_epoch = 0;
-  uint64_t session = 0;           ///< (initiator << 32) | node-local counter
-  uint64_t key = 0;               ///< ring position being resolved
-  KeywordId kw = kInvalidKeyword; ///< the keyword the key was derived from
-  QueryId qid = 0;                ///< the query the lookup resolves
-  DhtLookupMode mode = DhtLookupMode::kRoute;
+  KeywordId kw = kInvalidKeyword;  ///< the keyword whose owner is sought
+  QueryId qid = 0;                 ///< the query the lookup resolves
+  uint8_t hops = 0;                ///< messages the route has taken, this one included
+  /// The sender resolved the receiver as the owner: answer, do not route.
+  bool to_owner = false;
 };
 
-/// Reply to a DhtLookupMessage, queried node -> initiator.
+/// The owner's answer to a DhtLookupMessage, owner -> initiator.
 struct DhtResponseMessage {
   PeerId responder = kInvalidPeer;
-  uint64_t session = 0;
-  /// Route resolved: `next` is the key's owner. False: `next` is the next
-  /// node to ask (kInvalidPeer aborts the lookup — the responder had no
-  /// routing state).
-  bool done = false;
-  PeerId next = kInvalidPeer;
-  /// kGetProviders reply payload: the owner's records for the keyword,
-  /// from_index = true (they are index entries, not the responder's files).
+  QueryId qid = 0;
+  /// Echo of the lookup's initiator epoch: the initiator drops a reply
+  /// addressed to one of its earlier sessions.
+  uint32_t initiator_epoch = 0;
+  uint8_t hops = 0;  ///< the lookup's route length
+  /// The owner's records for the keyword, from_index = true (they are index
+  /// entries, not the responder's files).
   RecordVec records;
 };
 

@@ -1,13 +1,16 @@
-// PR 10: Chord ring arithmetic, table construction, iterative-lookup
-// convergence, and the churn-fuzz findability invariant ("every live
-// published key is findable after stabilization"). The pure-table tests
-// drive dht/routing.h directly against the Ring's ground-truth successor;
-// the engine tests pin the protocol-level counters, where each recursively
-// routed publish lands and what it costs.
+// PR 10: Chord ring arithmetic, table construction, lookup convergence, and
+// the churn-fuzz findability invariant ("every live published key is
+// findable after stabilization"). The pure-table tests drive dht/routing.h
+// directly against the Ring's ground-truth successor; the engine tests pin
+// the protocol-level counters, what each recursively routed lookup and
+// publish costs, where a publish lands, and how a lookup of an ended
+// initiator session dies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -133,9 +136,10 @@ TEST(DhtTablesTest, AloneOnTheRingOwnsEverything) {
   EXPECT_EQ(hd.next, kInvalidPeer);
 }
 
-// Walks an iterative lookup over precomputed per-peer tables, exactly as the
-// engine does (ask `cur`, follow its HopDecision). Returns the owner the
-// walk terminates at; sets *hops to the number of routing steps taken.
+// Walks a lookup over precomputed per-peer tables, exactly as the engine
+// routes one (`cur` takes the step, the message moves on to its
+// HopDecision). Returns the owner the walk terminates at; sets *hops to the
+// number of routing steps taken.
 PeerId WalkLookup(const std::vector<RoutingState>& tables, PeerId start, RingId key,
                   uint32_t* hops) {
   PeerId cur = start;
@@ -222,24 +226,9 @@ TEST(DhtChurnFuzzTest, EveryKeyFindableAfterStabilization) {
   }
 }
 
-TEST(DhtChurnFuzzTest, DepartureResetKeepsSessionCounter) {
-  RoutingState rt;
-  rt.next_session = 41;
-  rt.successors.push_back(3);
-  rt.store.try_emplace(7, StoreList{});
-  rt.lookups.try_emplace(99, LookupState{});
-  rt.last_publish = 12345;
-  rt.ResetForDeparture();
-  EXPECT_TRUE(rt.successors.empty());
-  EXPECT_EQ(rt.store.size(), 0u);
-  EXPECT_EQ(rt.lookups.size(), 0u);
-  EXPECT_EQ(rt.last_publish, kNeverPublished);
-  // Session ids must never repeat across sessions of the same peer.
-  EXPECT_EQ(rt.next_session, 41u);
-}
-
-core::ExperimentConfig SmallConfig(core::ProtocolKind kind, uint64_t seed) {
-  core::ExperimentConfig cfg = core::MakePaperConfig(kind, /*num_queries=*/200, seed);
+core::ExperimentConfig SmallConfig(core::ProtocolKind kind, uint64_t seed,
+                                   size_t num_queries = 200) {
+  core::ExperimentConfig cfg = core::MakePaperConfig(kind, num_queries, seed);
   cfg.num_peers = 150;
   cfg.underlay.num_routers = 40;
   cfg.catalog.num_files = 300;
@@ -277,6 +266,12 @@ TEST(DhtEngineTest, PaperProtocolsNeverTouchDhtCounters) {
     EXPECT_EQ(s.dht_store_bytes, 0u);
   }
 }
+
+/// DHT state that can hold lookup sessions: a session table or the counter
+/// that names sessions.
+template <typename State>
+concept HoldsLookupSessions =
+    requires(State s) { s.lookups; } || requires(State s) { s.next_session; };
 
 /// A static DHT world whose run spans exactly one publish round: ticks every
 /// second put every peer's first publish ahead of the first download (the
@@ -351,23 +346,131 @@ TEST(DhtPublishTest, OneRoundPlacesEveryPairAtItsOwnerForRouteLengthPlusOne) {
         << "file " << pair.file << " of " << pair.publisher << " missing at " << owner;
   }
 
-  // Publishing opened no session: the session counters advanced once per
-  // query lookup, and whatever sessions remain belong to a query of the
-  // peer's own, on one of its keywords.
-  uint64_t sessions = 0;
-  std::set<std::pair<QueryId, PeerId>> origins;
+  // Publishing opened no session, and no lookup did either: both ride their
+  // messages, so no peer's DHT state has a table to hold one in.
+  static_assert(!HoldsLookupSessions<RoutingState>);
+}
+
+TEST(DhtLookupTest, StaticLookupCostsRouteLengthPlusOne) {
+  auto e = std::move(core::Engine::Create(SmallConfig(core::ProtocolKind::kDht, 7)))
+               .ValueOrDie();
+  const catalog::FileCatalog& files = e->catalog();
+
+  // Each query's route on the static tables, read before the run: the steps
+  // from its requester to the owner of its routing keyword (the first
+  // sampled one), and whether that owner is another peer.
+  struct Route {
+    uint64_t length = 0;
+    bool remote_owner = false;
+  };
+  std::map<QueryId, Route> routes;
   for (const catalog::QueryEvent& ev : e->workload().queries()) {
-    origins.insert({ev.id, ev.requester});
+    const RingId key = RingIdOfKey(files.KeywordFnv(ev.keywords.front()));
+    Route route;
+    PeerId at = ev.requester;
+    for (bool done = false; !done;) {
+      const HopDecision hd = NextHop(*e->node(at).dht, at, key);
+      ASSERT_NE(hd.next, kInvalidPeer) << "a static ring has no lone peer";
+      ++route.length;
+      at = hd.next;
+      done = hd.done;
+    }
+    route.remote_owner = at != ev.requester;
+    routes[ev.id] = route;
   }
-  for (PeerId p = 0; p < e->num_peers(); ++p) {
-    const RoutingState& rt = *e->node(p).dht;
-    sessions += rt.next_session;
-    for (const auto& slot : rt.lookups) {
-      EXPECT_EQ(slot.first >> 32, p);
-      EXPECT_EQ(origins.count({slot.second.qid, p}), 1u) << "session " << slot.first;
+
+  e->Run();
+  // One message per step, then one records reply from a remote owner; an
+  // owner that is the requester itself serves its own store off the wire.
+  uint64_t want_msgs = 0;
+  uint64_t search_msgs = 0;
+  uint64_t answered = 0;
+  for (const metrics::QueryRecord& r : e->metrics().records()) {
+    search_msgs += r.TotalSearchMessages();
+    if (r.source == metrics::AnswerSource::kLocalStore) continue;  // no lookup
+    const Route& route = routes.at(r.qid);
+    want_msgs += route.length + (route.remote_owner ? 1 : 0);
+    EXPECT_EQ(r.query_msgs, route.length) << "query " << r.qid;
+    EXPECT_EQ(r.response_msgs, route.remote_owner ? 1u : 0u) << "query " << r.qid;
+    if (route.remote_owner && r.first_response_at != 0) {
+      ++answered;
+      EXPECT_EQ(r.query_msgs, r.first_response_hops) << "query " << r.qid;
     }
   }
-  EXPECT_EQ(sessions, s.dht_lookups);
+  EXPECT_GT(answered, 100u);
+  EXPECT_EQ(search_msgs, want_msgs);
+}
+
+/// A DHT world where initiators leave mid-lookup: sessions of ~10 s, gaps
+/// of ~50 ms (about one hop, so a reply can outlive its initiator's gap),
+/// every one-way delay in [45, 55] ms, dense queries, and owners that hold
+/// records (stabilize every second, republish every 5 s).
+core::ExperimentConfig FastChurnConfig() {
+  core::ExperimentConfig cfg =
+      SmallConfig(core::ProtocolKind::kDht, 7, /*num_queries=*/3000);
+  cfg.use_uniform_underlay = true;
+  cfg.underlay.min_rtt_ms = 90;
+  cfg.underlay.max_rtt_ms = 110;
+  cfg.workload.query_rate_per_peer_s = 0.1;
+  cfg.churn.enabled = true;
+  cfg.churn.mean_session_s = 10;
+  cfg.churn.mean_offline_s = 0.05;
+  cfg.params.maintenance_interval = sim::kSecond;
+  cfg.params.dht_republish_interval = 5 * sim::kSecond;
+  return cfg;
+}
+
+/// End of the session `p` is in at `t` (its next departure), or the max
+/// SimTime when it outlives the timeline.
+sim::SimTime SessionEnd(const overlay::ChurnTimeline& timeline, PeerId p,
+                        sim::SimTime t) {
+  const std::vector<sim::SimTime>& tr = timeline.transitions(p);
+  auto next = std::upper_bound(tr.begin(), tr.end(), t);
+  return next == tr.end() ? std::numeric_limits<sim::SimTime>::max() : *next;
+}
+
+TEST(DhtLookupChurnTest, LookupOfAnEndedSessionStopsAtTheNextHop) {
+  const core::ExperimentConfig cfg = FastChurnConfig();
+  auto e = std::move(core::Engine::Create(cfg)).ValueOrDie();
+  e->Run();
+  const overlay::ChurnTimeline& timeline = e->churn_timeline();
+  // The k-th step of a lookup leaves no earlier than submit + (k - 1) one-way
+  // delays, and a hop takes it on only while the initiator's session lasts:
+  // a session ending at `end` allows ceil((end - submit) / hop) steps.
+  const sim::SimTime hop = sim::FromMs(cfg.underlay.min_rtt_ms / 2);
+  size_t cut_short = 0;
+  for (const metrics::QueryRecord& r : e->metrics().records()) {
+    if (r.query_msgs == 0) continue;  // no lookup left the requester
+    const sim::SimTime end = SessionEnd(timeline, r.requester, r.submitted_at);
+    if (end - r.submitted_at > cfg.params.query_deadline) continue;
+    const uint64_t steps = static_cast<uint64_t>((end - r.submitted_at + hop - 1) / hop);
+    EXPECT_LE(r.query_msgs, steps) << "query " << r.qid;
+    // Gone before the first hop: nothing reached an owner, nobody replied.
+    if (steps == 1) {
+      EXPECT_EQ(r.response_msgs, 0u) << "query " << r.qid;
+    }
+    if (steps <= 2) ++cut_short;
+  }
+  EXPECT_GT(cut_short, 0u) << "no initiator left within two hops of its lookup";
+}
+
+TEST(DhtLookupChurnTest, ReplyToALeftOrRejoinedInitiatorIsDropped) {
+  auto e = std::move(core::Engine::Create(FastChurnConfig())).ValueOrDie();
+  e->Run();
+  const overlay::ChurnTimeline& timeline = e->churn_timeline();
+  // Every answer landed in the session that asked: the initiator was online
+  // and had not rejoined since submitting.
+  size_t answered = 0;
+  for (const metrics::QueryRecord& r : e->metrics().records()) {
+    if (r.first_response_at == 0) continue;
+    ++answered;
+    EXPECT_TRUE(timeline.IsOnlineAt(r.requester, r.first_response_at))
+        << "query " << r.qid;
+    EXPECT_EQ(timeline.SessionEpochAt(r.requester, r.first_response_at),
+              timeline.SessionEpochAt(r.requester, r.submitted_at))
+        << "query " << r.qid;
+  }
+  EXPECT_GT(answered, 1000u);
 }
 
 /// Keys of the metric JSON's flat "summary" object.

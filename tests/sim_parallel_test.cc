@@ -376,7 +376,7 @@ TEST(SimParallelTest, RepairHandshakeAcrossLookaheadWindowBoundary) {
   }
 }
 
-// PR 10: a DHT iterative lookup is a request/reply ping-pong between one
+// PR 10: an iterative DHT lookup is a request/reply ping-pong between one
 // initiator and a changing set of remote nodes — session state (hops, the
 // node currently asked) lives only at the initiator, and every half-trip
 // lands exactly at now + lookahead. The hop sequence recorded at each peer
@@ -437,6 +437,52 @@ TEST(SimParallelTest, IterativeLookupPingPongAcrossLookaheadBoundary) {
   ASSERT_EQ(baseline[0].size(), 5u);  // start, 3 route replies, records
   ASSERT_EQ(baseline[3].size(), 2u);  // asked, fetch
   for (uint32_t shards : {2u, 3u}) {
+    const auto sharded = run(shards);
+    for (size_t p = 0; p < baseline.size(); ++p) {
+      EXPECT_EQ(sharded[p], baseline[p]) << "peer " << p << " shards " << shards;
+    }
+  }
+}
+
+// A recursive DHT lookup or store is a relay: the message itself moves
+// 0 -> 1 -> 2 -> 3, each holder forwarding it on its own state, and the
+// owner (3) answers the initiator (0) directly. Every hop lands exactly at
+// now + lookahead, so each one crosses a window boundary from a different
+// shard. The per-peer logs must be shard-count invariant and no hop may be
+// lost at the bound.
+TEST(SimParallelTest, RecursiveRelayAcrossLookaheadBoundary) {
+  struct Step {
+    SimTime time;
+    std::string what;
+    bool operator==(const Step&) const = default;
+  };
+  auto run = [&](uint32_t num_shards) {
+    ShardedSimulator sim(Config(num_shards, 4));
+    std::vector<std::vector<Step>> log(4);  // owner-appended only
+    auto shard_of = [&](uint32_t p) { return p % num_shards; };
+    // Holder `node` logs the message (hop count so far), then relays it or,
+    // as the owner, replies to the initiator.
+    std::function<void(uint32_t, uint32_t)> relay = [&](uint32_t node, uint32_t hops) {
+      log[node].push_back({sim.Now(), "hop " + std::to_string(hops)});
+      if (node < 3) {
+        sim.ScheduleAt(shard_of(node + 1), node, sim.Now() + kLook,
+                       [&, node, hops] { relay(node + 1, hops + 1); });
+        return;
+      }
+      sim.ScheduleAt(shard_of(0), 3, sim.Now() + kLook, [&, hops] {
+        log[0].push_back({sim.Now(), "reply " + std::to_string(hops)});
+      });
+    };
+    sim.ScheduleAt(shard_of(0), 0, kLook, [&] { relay(0, 0); });
+    sim.Run();
+    return log;
+  };
+
+  const auto baseline = run(1);
+  ASSERT_EQ(baseline[0].size(), 2u);  // the start, then the owner's reply
+  EXPECT_EQ(baseline[0].back(), (Step{5 * kLook, "reply 3"}));
+  for (uint32_t p = 1; p < 4; ++p) ASSERT_EQ(baseline[p].size(), 1u) << "peer " << p;
+  for (uint32_t shards : {2u, 3u, 4u}) {
     const auto sharded = run(shards);
     for (size_t p = 0; p < baseline.size(); ++p) {
       EXPECT_EQ(sharded[p], baseline[p]) << "peer " << p << " shards " << shards;
