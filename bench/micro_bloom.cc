@@ -43,7 +43,6 @@ void operator delete(void* p, std::size_t) noexcept { CountFree(p); }
 
 namespace {
 
-using locaware::bloom::BloomDelta;
 using locaware::bloom::BloomFilter;
 using locaware::bloom::CountingBloomFilter;
 
@@ -94,43 +93,13 @@ void BM_CountingInsertRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_CountingInsertRemove);
 
-void BM_DeltaComputeOneFilename(benchmark::State& state) {
-  // One cached filename = 3 keywords x 4 probes: the paper's <=12 changed
-  // bits. Measures ComputeDelta over the full 1200-bit vector.
-  BloomFilter before(1200, 4);
-  for (size_t i = 0; i < 150; ++i) before.Insert("base" + std::to_string(i));
-  BloomFilter after = before;
-  after.Insert("fresh-alpha");
-  after.Insert("fresh-beta");
-  after.Insert("fresh-gamma");
-  for (auto _ : state) {
-    BloomDelta delta = ComputeDelta(before, after);
-    benchmark::DoNotOptimize(delta);
-  }
-}
-BENCHMARK(BM_DeltaComputeOneFilename);
-
-void BM_DeltaEncodeDecode(benchmark::State& state) {
-  BloomFilter before(1200, 4), after(1200, 4);
-  for (int i = 0; i < state.range(0); ++i) after.ToggleBit(i * 7 % 1200);
-  const BloomDelta delta = ComputeDelta(before, after);
-  for (auto _ : state) {
-    const auto wire = EncodeDelta(delta);
-    auto decoded = locaware::bloom::DecodeDelta(wire, 1200);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.counters["wire_bytes"] =
-      static_cast<double>(EncodeDelta(delta).size());
-}
-BENCHMARK(BM_DeltaEncodeDecode)->Arg(12)->Arg(120);
-
 void BM_DeltaApply(benchmark::State& state) {
+  // A receiver applying one filename's update: the paper's <=12 positions.
   BloomFilter target(1200, 4);
-  BloomDelta delta;
-  delta.filter_bits = 1200;
-  for (int i = 0; i < 12; ++i) delta.positions.push_back(i * 97 % 1200);
+  std::vector<uint32_t> positions;
+  for (int i = 0; i < 12; ++i) positions.push_back(i * 97 % 1200);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ApplyDelta(delta, &target));
+    benchmark::DoNotOptimize(locaware::bloom::ApplyDelta(1200, positions, &target));
   }
 }
 BENCHMARK(BM_DeltaApply);

@@ -6,17 +6,6 @@
 
 namespace locaware::bloom {
 
-BloomDelta ComputeDelta(const BloomFilter& before, const BloomFilter& after) {
-  BloomDelta delta;
-  delta.filter_bits = static_cast<uint32_t>(before.num_bits());
-  delta.positions = before.DiffPositions(after);
-  return delta;
-}
-
-Status ApplyDelta(const BloomDelta& delta, BloomFilter* filter) {
-  return ApplyDelta(delta.filter_bits, delta.positions, filter);
-}
-
 Status ApplyDelta(uint32_t filter_bits, std::span<const uint32_t> positions,
                   BloomFilter* filter) {
   if (filter_bits != filter->num_bits()) {
@@ -36,69 +25,8 @@ size_t PositionBits(size_t filter_bits) {
   return static_cast<size_t>(std::bit_width(filter_bits - 1));
 }
 
-size_t WireSizeBits(const BloomDelta& delta) {
-  return WireSizeBits(delta.filter_bits, delta.positions.size());
-}
-
 size_t WireSizeBits(size_t filter_bits, size_t num_positions) {
   return 16 + num_positions * PositionBits(filter_bits);
-}
-
-std::vector<uint8_t> EncodeDelta(const BloomDelta& delta) {
-  LOCAWARE_CHECK_LE(delta.positions.size(), 0xFFFFu);
-  const size_t pos_bits = PositionBits(delta.filter_bits);
-  std::vector<uint8_t> out;
-  out.push_back(static_cast<uint8_t>(delta.positions.size() & 0xFF));
-  out.push_back(static_cast<uint8_t>(delta.positions.size() >> 8));
-  // Bit-pack positions LSB-first.
-  uint64_t acc = 0;
-  size_t acc_bits = 0;
-  for (uint32_t pos : delta.positions) {
-    acc |= static_cast<uint64_t>(pos) << acc_bits;
-    acc_bits += pos_bits;
-    while (acc_bits >= 8) {
-      out.push_back(static_cast<uint8_t>(acc & 0xFF));
-      acc >>= 8;
-      acc_bits -= 8;
-    }
-  }
-  if (acc_bits > 0) out.push_back(static_cast<uint8_t>(acc & 0xFF));
-  return out;
-}
-
-Result<BloomDelta> DecodeDelta(const std::vector<uint8_t>& bytes, size_t filter_bits) {
-  if (bytes.size() < 2) {
-    return Status::InvalidArgument("delta shorter than its header");
-  }
-  const size_t count = bytes[0] | (static_cast<size_t>(bytes[1]) << 8);
-  const size_t pos_bits = PositionBits(filter_bits);
-  const size_t need_bits = count * pos_bits;
-  const size_t have_bits = (bytes.size() - 2) * 8;
-  if (have_bits < need_bits) {
-    return Status::InvalidArgument("delta payload truncated");
-  }
-
-  BloomDelta delta;
-  delta.filter_bits = static_cast<uint32_t>(filter_bits);
-  delta.positions.reserve(count);
-  uint64_t acc = 0;
-  size_t acc_bits = 0;
-  size_t next_byte = 2;
-  const uint64_t mask = (uint64_t{1} << pos_bits) - 1;
-  for (size_t i = 0; i < count; ++i) {
-    while (acc_bits < pos_bits) {
-      acc |= static_cast<uint64_t>(bytes[next_byte++]) << acc_bits;
-      acc_bits += 8;
-    }
-    const uint32_t pos = static_cast<uint32_t>(acc & mask);
-    if (pos >= filter_bits) {
-      return Status::InvalidArgument("decoded position out of range");
-    }
-    delta.positions.push_back(pos);
-    acc >>= pos_bits;
-    acc_bits -= pos_bits;
-  }
-  return delta;
 }
 
 }  // namespace locaware::bloom

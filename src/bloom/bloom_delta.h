@@ -4,58 +4,31 @@
 // bits of the 1200-bit vector change, so a peer transmits just the *positions*
 // of changed bits — each position costs ceil(log2(m)) = 11 bits, and one
 // filename touches at most k·keywords ≈ 12 bits, i.e. ≤ 0.132 Kb per update.
-// This module implements that wire format and its bandwidth accounting.
+// A sender gets the positions from CountingBloomFilter::SyncProjection; this
+// module applies them at the receiver and charges their wire size.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "common/status.h"
 
 namespace locaware::bloom {
 
-/// \brief A delta between two same-shape Bloom filters: the positions whose
-/// bits must be toggled to turn `before` into `after`.
-struct BloomDelta {
-  uint32_t filter_bits = 0;           ///< m, so receivers can sanity-check
-  std::vector<uint32_t> positions;    ///< toggled bit positions, ascending
-
-  bool empty() const { return positions.empty(); }
-};
-
-/// Computes the delta turning `before` into `after`. CHECK-fails on shape
-/// mismatch.
-BloomDelta ComputeDelta(const BloomFilter& before, const BloomFilter& after);
-
-/// Applies a delta in place. Fails with InvalidArgument if the delta's shape
-/// does not match `filter` or a position is out of range (a corrupt message
-/// must not crash a peer).
-Status ApplyDelta(const BloomDelta& delta, BloomFilter* filter);
-
-/// Span form of ApplyDelta, for callers whose positions arrive in a
-/// message-owned container (BloomUpdateMessage::toggled_positions) — same
-/// semantics, no intermediate BloomDelta copy.
+/// Toggles `positions` of an m = `filter_bits` filter in place, for callers
+/// whose positions arrive in a message-owned container
+/// (BloomUpdateMessage::toggled_positions). Fails with InvalidArgument, and
+/// changes nothing, if the width does not match `filter` or a position is out
+/// of range (a corrupt message must not crash a peer).
 Status ApplyDelta(uint32_t filter_bits, std::span<const uint32_t> positions,
                   BloomFilter* filter);
 
 /// Bits needed to encode one position for an m-bit filter: ceil(log2(m)).
 size_t PositionBits(size_t filter_bits);
 
-/// Wire size of a delta in bits: 16-bit count header + count * PositionBits.
-/// This is the quantity charged to the bandwidth metric.
-size_t WireSizeBits(const BloomDelta& delta);
-
-/// Count form of WireSizeBits, for callers that have the position count but
-/// no BloomDelta in hand (message size accounting).
+/// Wire size of an update in bits: 16-bit count header + count *
+/// PositionBits. This is the quantity charged to the bandwidth metric.
 size_t WireSizeBits(size_t filter_bits, size_t num_positions);
-
-/// Packs a delta into bytes (count:uint16 LE, then bit-packed positions).
-std::vector<uint8_t> EncodeDelta(const BloomDelta& delta);
-
-/// Unpacks EncodeDelta output. Fails with InvalidArgument on truncated or
-/// malformed input.
-Result<BloomDelta> DecodeDelta(const std::vector<uint8_t>& bytes, size_t filter_bits);
 
 }  // namespace locaware::bloom

@@ -6,9 +6,11 @@
 // partitioned across K shards, each with its own event queue, executed by a
 // pool of W <= K workers that claim shards per window — home block first,
 // then any shard still unclaimed (work stealing). Shards only exchange events
-// through per-(src-shard, dst-shard) mailboxes that are flushed at window
-// barriers, so the hot path between barriers is lock-free — the claim flags
-// and stat counters are the only shared atomics.
+// through per-(src-shard, dst-shard) mailboxes with two sides: a window sends
+// into one side while each destination's task drains the mail the previous
+// window sent into the other. The hot path between barriers is therefore
+// lock-free — the claim flags and stat counters are the only shared atomics
+// — and one barrier per window is the only synchronization.
 #pragma once
 
 #include <condition_variable>
@@ -29,9 +31,9 @@ inline constexpr ShardId kNoShard = UINT32_MAX;
 /// \brief One event in flight between shards.
 ///
 /// Cross-shard sends are appended to the sender's outbox during a window and
-/// moved into the destination shard's queue at the next barrier — the
-/// "batch event delivery per (src, dst) link" lever: one vector append per
-/// message instead of one synchronized heap push.
+/// moved into the destination shard's queue by that shard's task in the next
+/// window — the "batch event delivery per (src, dst) link" lever: one vector
+/// append per message instead of one synchronized heap push.
 struct ShardEvent {
   SimTime time = 0;
   SourceId src = 0;
@@ -43,9 +45,10 @@ struct ShardEvent {
 ///
 /// ArriveAndWait blocks until all `parties` threads arrive; the last arriver
 /// runs `on_last` (under the barrier lock) before releasing the others. The
-/// window loop uses the hook for its global min-time reduction, which is why
-/// this is hand-rolled instead of std::barrier (whose completion functor is
-/// fixed at construction).
+/// window loop crosses it once per window and uses the hook, run while every
+/// worker is parked, to derive the next window's bounds and flip the mailbox
+/// side. It is hand-rolled instead of std::barrier, whose completion functor
+/// is fixed at construction.
 ///
 /// Memory ordering: everything written by a thread before ArriveAndWait is
 /// visible to every thread after the same barrier phase (the shared mutex
@@ -70,11 +73,6 @@ class ShardBarrier {
     } else {
       cv_.wait(lock, [&] { return phase_ != phase; });
     }
-  }
-
-  /// Barrier without a completion hook.
-  void ArriveAndWait() {
-    ArriveAndWait([] {});
   }
 
  private:

@@ -31,10 +31,8 @@ ShardedSimulator::ShardedSimulator(const ShardedSimulatorConfig& config)
                        ? config.num_shards
                        : std::min(config.num_workers, config.num_shards)),
       barrier_(num_workers_),
-      local_min_(config.num_shards, kNoHorizon),
       earliest_(config.num_shards, kNoHorizon),
-      window_ends_(config.num_shards, 0),
-      executed_at_window_start_(config.num_shards, 0) {
+      window_ends_(config.num_shards, 0) {
   LOCAWARE_CHECK_GT(config.num_shards, 0u);
   LOCAWARE_CHECK_GT(config.num_sources, 0u);
   LOCAWARE_CHECK_GT(num_workers_, 0u);
@@ -54,13 +52,10 @@ ShardedSimulator::ShardedSimulator(const ShardedSimulatorConfig& config)
       }
     }
   }
-  drain_claims_ = std::make_unique<std::atomic<uint8_t>[]>(k);
-  exec_claims_ = std::make_unique<std::atomic<uint8_t>[]>(k);
-  for (ShardId s = 0; s < k; ++s) {
-    drain_claims_[s].store(0, std::memory_order_relaxed);
-    exec_claims_[s].store(0, std::memory_order_relaxed);
+  claims_ = std::make_unique<std::atomic<uint8_t>[]>(k);
+  for (Shard& shard : shards_) {
+    for (std::vector<Mailbox>& side : shard.outbox) side.resize(k);
   }
-  for (Shard& shard : shards_) shard.outbox.resize(k);
 }
 
 ShardId ShardedSimulator::current_shard() { return tls_current_shard; }
@@ -89,7 +84,9 @@ void ShardedSimulator::ScheduleAt(ShardId dst, SourceId src, SimTime at, EventFn
   // at = now + delay >= L[cur] + LA[cur][dst] >= end[dst].
   LOCAWARE_CHECK_GE(at, window_ends_[dst])
       << "cross-shard event inside the destination's lookahead window";
-  me.outbox[dst].push_back(ShardEvent{at, src, seq, std::move(fn)});
+  Mailbox& box = me.outbox[send_][dst];
+  box.events.push_back(ShardEvent{at, src, seq, std::move(fn)});
+  box.min_time = std::min(box.min_time, at);
 }
 
 uint64_t ShardedSimulator::ReserveSequence(SourceId src, uint64_t count) {
@@ -138,7 +135,9 @@ size_t ShardedSimulator::pending_count() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     total += shard.queue.size();
-    for (const auto& box : shard.outbox) total += box.size();
+    for (const std::vector<Mailbox>& side : shard.outbox) {
+      for (const Mailbox& box : side) total += box.events.size();
+    }
   }
   return total;
 }
@@ -187,22 +186,11 @@ uint64_t ShardedSimulator::RunSingle(SimTime horizon) {
   return executed_this_run;
 }
 
-void ShardedSimulator::DrainInbound(ShardId sid) {
-  Shard& me = shards_[sid];
-  for (Shard& sender : shards_) {
-    std::vector<ShardEvent>& box = sender.outbox[sid];
-    for (ShardEvent& ev : box) {
-      me.queue.PushKeyed(ev.time, ev.src, ev.seq, std::move(ev.fn));
-    }
-    box.clear();
-  }
-}
-
-ShardId ShardedSimulator::ClaimShard(uint32_t worker, std::atomic<uint8_t>* claims) {
+ShardId ShardedSimulator::ClaimShard(uint32_t worker) {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
   const auto try_claim = [&](ShardId s) {
     uint8_t expected = 0;
-    return claims[s].compare_exchange_strong(expected, 1, std::memory_order_acq_rel);
+    return claims_[s].compare_exchange_strong(expected, 1, std::memory_order_acq_rel);
   };
   // Home block first (shard s is worker s % W's home): keeps a shard's state
   // on the same core window after window when the load is balanced.
@@ -218,10 +206,21 @@ ShardId ShardedSimulator::ClaimShard(uint32_t worker, std::atomic<uint8_t>* clai
 
 void ShardedSimulator::RunShardWindow(ShardId sid) {
   Shard& me = shards_[sid];
+  // The mail the last window sent this shard. Senders append to the other
+  // side now, so this task is the only one touching these mailboxes.
+  for (Shard& sender : shards_) {
+    Mailbox& box = sender.outbox[send_ ^ 1][sid];
+    for (ShardEvent& ev : box.events) {
+      me.queue.PushKeyed(ev.time, ev.src, ev.seq, std::move(ev.fn));
+    }
+    box.events.clear();
+    box.min_time = kNoHorizon;
+  }
+
   tls_current_shard = sid;
   // The claim guarantees a single executor per shard per window, so this loop
-  // is exactly the sequential drain a statically bound worker would run: pop
-  // in (time, source, seq) order against the shard's own queue and clock.
+  // is exactly the sequential run a statically bound worker would do: pop in
+  // (time, source, seq) order against the shard's own queue and clock.
   const SimTime end = window_ends_[sid];
   while (!me.queue.empty() && me.queue.PeekTime() < end) {
     SimTime t;
@@ -236,21 +235,31 @@ void ShardedSimulator::RunShardWindow(ShardId sid) {
 
 void ShardedSimulator::BeginWindow(SimTime horizon) {
   const uint32_t k = static_cast<uint32_t>(shards_.size());
+  // T_s: the shard's queue head, or earlier mail still addressed to it. Only
+  // side send_ can hold mail here: every shard was claimed last window, and
+  // each task emptied its side send_ ^ 1.
   SimTime t_min = kNoHorizon;
-  for (SimTime t : local_min_) t_min = std::min(t_min, t);
+  for (ShardId d = 0; d < k; ++d) {
+    const EventQueue& queue = shards_[d].queue;
+    SimTime t = queue.empty() ? kNoHorizon : queue.PeekTime();
+    for (const Shard& sender : shards_) t = std::min(t, sender.outbox[send_][d].min_time);
+    earliest_[d] = t;
+    t_min = std::min(t_min, t);
+  }
+  // Done leaves send_ alone: the mail stays where the next Run's hook reads it.
   if (t_min == kNoHorizon || t_min > horizon) {
     done_ = true;
     return;
   }
   ++windows_;
+  send_ ^= 1;
 
-  // earliest_[s]: a lower bound on the next instant shard s could execute
-  // ANY event — its own queue head, or causality relayed through its
+  // The fixpoint lowers earliest_[s] to a bound on the next instant shard s
+  // could execute ANY event — its own T_s, or causality relayed through its
   // incoming edges. The transitive part is what makes empty shards safe: a
   // shard with no events still cannot produce one for its neighbors sooner
   // than something could first reach *it*. Fixpoint by relaxation; K is
   // small and every pass only lowers values, so this terminates quickly.
-  earliest_ = local_min_;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -277,57 +286,37 @@ void ShardedSimulator::BeginWindow(SimTime horizon) {
     // window comparison while never overflowing (horizon < kNoHorizon here).
     if (horizon != kNoHorizon) end = std::min(end, horizon + 1);
     window_ends_[d] = end;
-    executed_at_window_start_[d] = shards_[d].executed;
-    exec_claims_[d].store(0, std::memory_order_relaxed);
-  }
-}
-
-void ShardedSimulator::EndWindow() {
-  for (ShardId s = 0; s < shards_.size(); ++s) {
-    drain_claims_[s].store(0, std::memory_order_relaxed);
+    claims_[d].store(0, std::memory_order_relaxed);
   }
 }
 
 void ShardedSimulator::WorkerLoop(uint32_t worker, SimTime horizon) {
   while (true) {
-    // 1. Pull everything other shards batched in the last window and publish
-    // each drained shard's next-event time (claimed, like execution, so a
-    // lopsided inbound burst does not serialize on one worker).
-    for (ShardId sid = ClaimShard(worker, drain_claims_.get()); sid != kNoShard;
-         sid = ClaimShard(worker, drain_claims_.get())) {
-      DrainInbound(sid);
-      local_min_[sid] = shards_[sid].queue.empty() ? kNoHorizon
-                                                   : shards_[sid].queue.PeekTime();
-    }
-
-    // 2. Reduce to this window's per-shard bounds (or completion).
-    barrier_.ArriveAndWait([this, horizon] { BeginWindow(horizon); });
-    if (done_) break;
-
-    // 3. Execute claimed shards inside their windows, batching remote sends.
-    // The home shard block comes first; whatever is left afterwards is a
-    // steal — whole remaining sub-queues, never event-level interleaving. A
-    // steal only counts when the shard actually ran events this window, so
-    // the stat measures relocated work, not claim churn over idle shards.
-    for (ShardId sid = ClaimShard(worker, exec_claims_.get()); sid != kNoShard;
-         sid = ClaimShard(worker, exec_claims_.get())) {
-      RunShardWindow(sid);
-      if (sid % num_workers_ != worker &&
-          shards_[sid].executed > executed_at_window_start_[sid]) {
-        steals_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-
-    // 4. Publish our outboxes to the next window's drain. The wait here is
-    // the idle time stealing exists to shrink: a worker parked at this
+    // The one barrier per window: its hook derives the bounds from the queues
+    // and the mail the last window sent (or flags completion). The wait here
+    // is the idle time stealing exists to shrink: a worker parked at this
     // barrier has run out of claimable shard windows.
     const auto idle_start = std::chrono::steady_clock::now();
-    barrier_.ArriveAndWait([this] { EndWindow(); });
+    barrier_.ArriveAndWait([this, horizon] { BeginWindow(horizon); });
     idle_ns_.fetch_add(static_cast<uint64_t>(
                            std::chrono::duration_cast<std::chrono::nanoseconds>(
                                std::chrono::steady_clock::now() - idle_start)
                                .count()),
                        std::memory_order_relaxed);
+    if (done_) break;
+
+    // Drain and execute claimed shards inside their windows, batching remote
+    // sends. The home shard block comes first; whatever is left afterwards is
+    // a steal — whole remaining sub-queues, never event-level interleaving. A
+    // steal only counts when the shard actually ran events this window, so
+    // the stat measures relocated work, not claim churn over idle shards.
+    for (ShardId sid = ClaimShard(worker); sid != kNoShard; sid = ClaimShard(worker)) {
+      const uint64_t executed_before = shards_[sid].executed;
+      RunShardWindow(sid);
+      if (sid % num_workers_ != worker && shards_[sid].executed > executed_before) {
+        steals_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
 }
 
@@ -337,10 +326,6 @@ uint64_t ShardedSimulator::Run(SimTime horizon) {
 
   running_ = true;
   done_ = false;
-  for (ShardId s = 0; s < shards_.size(); ++s) {
-    drain_claims_[s].store(0, std::memory_order_relaxed);
-    exec_claims_[s].store(0, std::memory_order_relaxed);
-  }
   std::vector<std::thread> workers;
   workers.reserve(num_workers_);
   for (uint32_t w = 0; w < num_workers_; ++w) {
@@ -349,9 +334,12 @@ uint64_t ShardedSimulator::Run(SimTime horizon) {
   for (std::thread& worker : workers) worker.join();
   running_ = false;
 
+  // The final hook left each shard's T_s in earliest_: kNoHorizon means
+  // neither its queue nor any mailbox holds an event for it.
   SimTime now = 0;
-  for (Shard& shard : shards_) {
-    if (shard.queue.empty() && horizon != kNoHorizon && shard.now < horizon) {
+  for (ShardId s = 0; s < shards_.size(); ++s) {
+    Shard& shard = shards_[s];
+    if (earliest_[s] == kNoHorizon && horizon != kNoHorizon && shard.now < horizon) {
       shard.now = horizon;  // idle advance so repeated Run(horizon) calls compose
     }
     now = std::max(now, shard.now);

@@ -49,15 +49,18 @@
 // Either way the placement is a wall-clock knob only: results are identical
 // for every placement strategy (see the determinism contract below).
 //
-// Cross-shard sends are appended to per-(src-shard, dst-shard) mailboxes; at
-// the window barrier every incoming edge of a shard is drained into its
-// queue, which is sound because anything edge (s, d) carried was created at
-// or after T_s and therefore lands at or after end[d] — no event a drain
-// delivers can predate the windowed execution that just finished.
+// One barrier per window. Cross-shard sends are appended to per-(src-shard,
+// dst-shard) mailboxes with two sides: a window sends into one, and each
+// claimed shard task first drains the other — the mail the previous window
+// sent it — before running its window. The barrier hook, run while every
+// worker is parked, takes each T_s as the minimum of the shard's queue head
+// and its earliest pending mail, then flips the sides. That mail was created
+// in the window that just ended, so it lands at or after that window's
+// end[d]: no drain can deliver an event that predates execution already done.
 //
 // Events are *inline values* (see sim/event_queue.h): an EventFn stores its
 // capture inside the entry — move-only, nothrow-movable, no heap fallback —
-// so a mailbox append, a barrier drain, and a heap sift are all plain
+// so a mailbox append, a mailbox drain, and a heap sift are all plain
 // relocations that never touch the allocator, and a capture that outgrows
 // kEventInlineBytes is a compile error at the ScheduleAt site rather than a
 // silent per-event malloc. Closures crossing shards must therefore carry
@@ -78,6 +81,7 @@
 // sequential streams.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -123,7 +127,7 @@ struct SchedulerStats {
   /// Non-empty shard windows executed by a non-home worker (idle claims of
   /// event-less shards are not steals — this counts relocated work).
   uint64_t steals = 0;
-  uint64_t idle_ns = 0;   ///< summed worker wait at window-exit barriers
+  uint64_t idle_ns = 0;   ///< summed worker wait at the window barrier
 };
 
 /// \brief K event queues over W worker threads under per-pair conservative
@@ -216,6 +220,14 @@ class ShardedSimulator {
   static constexpr SimTime kNoHorizon = INT64_MAX;
 
  private:
+  /// Events one shard sends another, and the earliest of their times. Padded
+  /// so no two share a cache line: within a window each destination's task
+  /// empties its own mailboxes on one side while senders append on the other.
+  struct alignas(64) Mailbox {
+    std::vector<ShardEvent> events;
+    SimTime min_time = kNoHorizon;
+  };
+
   /// One shard's private state. Padded so adjacent shards' hot fields do not
   /// share cache lines.
   struct alignas(64) Shard {
@@ -223,25 +235,23 @@ class ShardedSimulator {
     size_t reserved = 0;  ///< last ReserveEvents request
     SimTime now = 0;
     uint64_t executed = 0;
-    /// outbox[d]: events bound for shard d, flushed at the next barrier.
-    std::vector<std::vector<ShardEvent>> outbox;
+    /// outbox[side][d]: events bound for shard d. A window sends into side
+    /// send_; shard d's task drains side send_ ^ 1 in the window after.
+    std::array<std::vector<Mailbox>, 2> outbox;
   };
 
   uint64_t RunSingle(SimTime horizon);
   void WorkerLoop(uint32_t worker, SimTime horizon);
-  /// Moves every shard's outbox[sid] into shard sid's queue.
-  void DrainInbound(ShardId sid);
-  /// Executes shard `sid`'s events strictly before window_ends_[sid].
+  /// Drains the mail the last window sent shard `sid`, then executes its
+  /// events strictly before window_ends_[sid].
   void RunShardWindow(ShardId sid);
-  /// Barrier hook: derives every shard's window end from the per-pair
-  /// lookahead fixpoint, or flags completion.
+  /// Barrier hook: seeds every shard's T_s from its queue head and its
+  /// pending mail, derives the window ends from the per-pair lookahead
+  /// fixpoint and flips the mailbox side, or flags completion.
   void BeginWindow(SimTime horizon);
-  /// Barrier hook: drain-claim reset for the next window.
-  void EndWindow();
   /// Claims the next unclaimed shard for `worker` (home block first, then
-  /// steals), or kNoShard when none remain. `claims` selects the phase's
-  /// claim array.
-  ShardId ClaimShard(uint32_t worker, std::atomic<uint8_t>* claims);
+  /// steals), or kNoShard when none remain.
+  ShardId ClaimShard(uint32_t worker);
 
   SimTime La(ShardId src, ShardId dst) const {
     return lookahead_matrix_.empty() ? lookahead_
@@ -255,18 +265,16 @@ class ShardedSimulator {
   uint32_t num_workers_ = 1;
   ShardBarrier barrier_;
 
-  // Per-window claim state: one flag per shard and phase, reset under the
-  // barrier lock. Claiming is the only inter-worker communication inside a
-  // window; the shard a worker wins is run exactly once, sequentially.
-  std::unique_ptr<std::atomic<uint8_t>[]> drain_claims_;
-  std::unique_ptr<std::atomic<uint8_t>[]> exec_claims_;
+  // Per-window claim state: one flag per shard, reset under the barrier lock.
+  // Claiming is the only inter-worker communication inside a window; the
+  // shard a worker wins is drained and run exactly once, sequentially.
+  std::unique_ptr<std::atomic<uint8_t>[]> claims_;
 
-  // Window state, written only by the barrier completion hooks (and
+  // Window state, written only by the barrier completion hook (and
   // therefore ordered by the barrier) or before workers start.
-  std::vector<SimTime> local_min_;    ///< per-shard published next-event time
-  std::vector<SimTime> earliest_;     ///< fixpoint scratch (hook-only)
+  std::vector<SimTime> earliest_;     ///< T_s, then the fixpoint; T_s after Run
   std::vector<SimTime> window_ends_;  ///< per-shard window bound
-  std::vector<uint64_t> executed_at_window_start_;  ///< steal accounting
+  uint32_t send_ = 0;                 ///< outbox side this window sends into
   bool done_ = false;
   bool running_ = false;
   SimTime controller_now_ = 0;

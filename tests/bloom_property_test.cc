@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -82,31 +83,34 @@ TEST_P(BloomPropertyTest, CountingFilterTracksMultiset) {
 }
 
 /// Property: delta-sync keeps a mirrored filter bit-identical through an
-/// arbitrary update history (the gossip correctness argument).
+/// arbitrary insert/evict history (the gossip correctness argument), on the
+/// live path: SyncProjection at the sender, ApplyDelta at the neighbor.
 TEST_P(BloomPropertyTest, DeltaSyncNeverDiverges) {
   const auto [bits, hashes, seed] = GetParam();
   Rng rng(seed ^ 0x77);
-  BloomFilter source(bits, hashes);
-  BloomFilter advertised = source;  // last state sent
-  BloomFilter mirror = source;      // the neighbor's copy
+  CountingBloomFilter source(bits, hashes);
+  BloomFilter advertised(bits, hashes);  // last state sent
+  BloomFilter mirror(bits, hashes);      // the neighbor's copy
+  std::vector<std::string> held;         // inserted and not yet evicted
   for (int round = 0; round < 60; ++round) {
-    // Mutate the source arbitrarily (inserts and raw bit clears, as eviction
-    // resyncs would produce).
+    // Insert and evict arbitrarily, as the response index does.
     const int mutations = static_cast<int>(rng.UniformInt(0, 5));
     for (int m = 0; m < mutations; ++m) {
-      if (rng.Bernoulli(0.7)) {
-        source.Insert("w" + std::to_string(rng.UniformInt(0, 500)));
+      if (held.empty() || rng.Bernoulli(0.6)) {
+        held.push_back("w" + std::to_string(rng.UniformInt(0, 500)));
+        source.Insert(held.back());
       } else {
-        source.ClearBit(rng.UniformInt(0, bits - 1));
+        const size_t victim = rng.UniformInt(0, held.size() - 1);
+        source.Remove(held[victim]);
+        held[victim] = held.back();
+        held.pop_back();
       }
     }
-    // Gossip tick: send the delta, apply at the mirror.
-    const BloomDelta delta = ComputeDelta(advertised, source);
-    auto decoded = DecodeDelta(EncodeDelta(delta), bits);
-    ASSERT_TRUE(decoded.ok());
-    ASSERT_TRUE(ApplyDelta(decoded.ValueOrDie(), &mirror).ok());
-    advertised = source;
-    ASSERT_EQ(mirror, source) << "diverged at round " << round;
+    // Gossip tick: sync the advertised copy, apply its positions at the mirror.
+    const std::vector<uint32_t> positions = source.SyncProjection(&advertised);
+    ASSERT_TRUE(ApplyDelta(static_cast<uint32_t>(bits), positions, &mirror).ok());
+    ASSERT_EQ(advertised, source.projection());
+    ASSERT_EQ(mirror, advertised) << "diverged at round " << round;
   }
 }
 

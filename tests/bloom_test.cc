@@ -357,38 +357,40 @@ TEST(CountingBloomTest, PackedCountersMirrorAByteReference) {
 }
 
 // --- BloomDelta ---
+// The live gossip path: the sender's CountingBloomFilter::SyncProjection
+// yields the toggled positions, the receiver applies them with ApplyDelta,
+// and the message is charged WireSizeBits.
 
 TEST(BloomDeltaTest, ComputeAndApplyRoundTrip) {
-  BloomFilter before(1200, 4), after(1200, 4);
-  for (const auto& k : MakeKeys(20)) after.Insert(k);
-  const BloomDelta delta = ComputeDelta(before, after);
-  EXPECT_FALSE(delta.empty());
-  ASSERT_TRUE(ApplyDelta(delta, &before).ok());
-  EXPECT_EQ(before, after);
+  CountingBloomFilter source(1200, 4);
+  for (const auto& k : MakeKeys(20)) source.Insert(k);
+  BloomFilter advertised(1200, 4), mirror(1200, 4);
+  const std::vector<uint32_t> positions = source.SyncProjection(&advertised);
+  EXPECT_FALSE(positions.empty());
+  ASSERT_TRUE(ApplyDelta(1200, positions, &mirror).ok());
+  EXPECT_EQ(mirror, source.projection());
 }
 
 TEST(BloomDeltaTest, DeltaOfIdenticalFiltersIsEmpty) {
-  BloomFilter a(512, 4);
-  a.Insert("x");
-  const BloomDelta delta = ComputeDelta(a, a);
-  EXPECT_TRUE(delta.empty());
-  EXPECT_EQ(WireSizeBits(delta), 16u);  // header only
+  CountingBloomFilter source(512, 4);
+  source.Insert("x");
+  BloomFilter advertised(512, 4);
+  source.SyncProjection(&advertised);
+  const std::vector<uint32_t> positions = source.SyncProjection(&advertised);
+  EXPECT_TRUE(positions.empty());
+  EXPECT_EQ(WireSizeBits(512, positions.size()), 16u);  // header only
 }
 
 TEST(BloomDeltaTest, ApplyRejectsShapeMismatch) {
   BloomFilter small(256, 4);
-  BloomDelta delta;
-  delta.filter_bits = 512;
-  delta.positions = {1};
-  EXPECT_FALSE(ApplyDelta(delta, &small).ok());
+  const std::vector<uint32_t> positions{1};
+  EXPECT_FALSE(ApplyDelta(512, positions, &small).ok());
 }
 
 TEST(BloomDeltaTest, ApplyRejectsOutOfRangePositionAtomically) {
   BloomFilter f(256, 4);
-  BloomDelta delta;
-  delta.filter_bits = 256;
-  delta.positions = {10, 999};
-  EXPECT_FALSE(ApplyDelta(delta, &f).ok());
+  const std::vector<uint32_t> positions{10, 999};
+  EXPECT_FALSE(ApplyDelta(256, positions, &f).ok());
   EXPECT_FALSE(f.TestBit(10));  // nothing applied on failure
 }
 
@@ -403,51 +405,14 @@ TEST(BloomDeltaTest, PositionBitsMatchesPaperFootnote) {
 TEST(BloomDeltaTest, WireSizeMatchesPaperBound) {
   // One filename = 3 keywords x 4 hashes = at most 12 changed bits; the paper
   // bounds the update at 12 * 11 = 132 bits (~0.132 Kb) + small header.
-  BloomFilter before(1200, 4), after(1200, 4);
-  after.Insert("kw-a");
-  after.Insert("kw-b");
-  after.Insert("kw-c");
-  const BloomDelta delta = ComputeDelta(before, after);
-  EXPECT_LE(delta.positions.size(), 12u);
-  EXPECT_LE(WireSizeBits(delta), 16u + 132u);
-}
-
-TEST(BloomDeltaTest, EncodeDecodeRoundTrip) {
-  BloomFilter before(1200, 4), after(1200, 4);
-  for (const auto& k : MakeKeys(30)) after.Insert(k);
-  const BloomDelta delta = ComputeDelta(before, after);
-  const std::vector<uint8_t> wire = EncodeDelta(delta);
-  auto decoded = DecodeDelta(wire, 1200);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.ValueOrDie().positions, delta.positions);
-}
-
-TEST(BloomDeltaTest, EncodeEmptyDelta) {
-  BloomDelta delta;
-  delta.filter_bits = 1200;
-  const auto wire = EncodeDelta(delta);
-  EXPECT_EQ(wire.size(), 2u);
-  auto decoded = DecodeDelta(wire, 1200);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded.ValueOrDie().positions.empty());
-}
-
-TEST(BloomDeltaTest, DecodeRejectsTruncatedInput) {
-  BloomFilter before(1200, 4), after(1200, 4);
-  for (const auto& k : MakeKeys(10)) after.Insert(k);
-  std::vector<uint8_t> wire = EncodeDelta(ComputeDelta(before, after));
-  wire.resize(wire.size() / 2);
-  EXPECT_FALSE(DecodeDelta(wire, 1200).ok());
-  EXPECT_FALSE(DecodeDelta({}, 1200).ok());
-}
-
-TEST(BloomDeltaTest, DecodeRejectsOutOfRangePositions) {
-  // filter_bits = 100 -> 7 bits per position, so values up to 127 are
-  // encodable; hand-craft a payload carrying 127 and expect rejection.
-  const std::vector<uint8_t> wire{1, 0, 127};
-  EXPECT_FALSE(DecodeDelta(wire, 100).ok());
-  // The same payload is valid for a 128-bit filter.
-  EXPECT_TRUE(DecodeDelta(wire, 128).ok());
+  CountingBloomFilter source(1200, 4);
+  source.Insert("kw-a");
+  source.Insert("kw-b");
+  source.Insert("kw-c");
+  BloomFilter advertised(1200, 4);
+  const std::vector<uint32_t> positions = source.SyncProjection(&advertised);
+  EXPECT_LE(positions.size(), 12u);
+  EXPECT_LE(WireSizeBits(1200, positions.size()), 16u + 132u);
 }
 
 struct DeltaShape {
@@ -457,7 +422,8 @@ struct DeltaShape {
 
 class BloomDeltaPropertyTest : public ::testing::TestWithParam<DeltaShape> {};
 
-/// Property: encode/decode round-trips for any filter width and change count.
+/// Property: applying a diff's positions rebuilds the target filter, and the
+/// update is charged per position, for any filter width and change count.
 TEST_P(BloomDeltaPropertyTest, RoundTripsAcrossShapes) {
   const auto [bits, changes] = GetParam();
   Rng rng(bits * 31 + changes);
@@ -467,13 +433,11 @@ TEST_P(BloomDeltaPropertyTest, RoundTripsAcrossShapes) {
     flipped.insert(static_cast<uint32_t>(rng.UniformInt(0, bits - 1)));
   }
   for (uint32_t pos : flipped) after.ToggleBit(pos);
-  const BloomDelta delta = ComputeDelta(before, after);
-  EXPECT_EQ(delta.positions.size(), changes);
-  auto decoded = DecodeDelta(EncodeDelta(delta), bits);
-  ASSERT_TRUE(decoded.ok());
-  BloomFilter rebuilt(bits, 3);
-  ASSERT_TRUE(ApplyDelta(decoded.ValueOrDie(), &rebuilt).ok());
-  EXPECT_EQ(rebuilt, after);
+  const std::vector<uint32_t> positions = before.DiffPositions(after);
+  EXPECT_EQ(positions.size(), changes);
+  EXPECT_EQ(WireSizeBits(bits, positions.size()), 16 + changes * PositionBits(bits));
+  ASSERT_TRUE(ApplyDelta(static_cast<uint32_t>(bits), positions, &before).ok());
+  EXPECT_EQ(before, after);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, BloomDeltaPropertyTest,

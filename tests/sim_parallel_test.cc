@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sim/shard.h"
@@ -196,8 +198,19 @@ struct LogEntry {
   bool operator==(const LogEntry&) const = default;
 };
 
+// A cascade run cut in two: Run(at), then Run() to the end. Filled in with
+// what the first call left behind.
+struct SplitRun {
+  SimTime at = 0;
+  uint64_t executed = 0;  ///< returned by Run(at)
+  size_t unrun = 0;       ///< events scheduled so far but not yet executed
+  size_t pending = 0;     ///< pending_count() between the calls
+  uint64_t windows = 0;   ///< windows() between the calls
+};
+
 std::vector<std::vector<LogEntry>> RunCascade(uint32_t num_shards,
-                                              uint32_t num_workers = 0) {
+                                              uint32_t num_workers = 0,
+                                              SplitRun* split = nullptr) {
   constexpr uint32_t kNodes = 12;
   constexpr int kDepth = 5;
   ShardedSimulatorConfig cascade_config = Config(num_shards, kNodes);
@@ -206,6 +219,7 @@ std::vector<std::vector<LogEntry>> RunCascade(uint32_t num_shards,
   // logs[d] is only ever appended by destination d's handler, which always
   // runs on shard d % num_shards — single-writer, no lock needed.
   std::vector<std::vector<LogEntry>> logs(kNodes);
+  std::atomic<size_t> scheduled{kNodes};  // bumped from every shard's handlers
 
   // send(src, dst, depth, tag): log at dst, then fan out two messages whose
   // delays collide with other sources' sends (all multiples of kLook).
@@ -213,6 +227,7 @@ std::vector<std::vector<LogEntry>> RunCascade(uint32_t num_shards,
       [&](uint32_t src, uint32_t dst, int depth, uint32_t tag) {
         logs[dst].push_back(LogEntry{sim.Now(), src, tag});
         if (depth >= kDepth) return;
+        scheduled.fetch_add(2, std::memory_order_relaxed);
         const uint32_t a = (dst * 7 + tag + 1) % kNodes;
         const uint32_t b = (dst * 3 + src + 2) % kNodes;
         const SimTime ta = sim.Now() + kLook;
@@ -225,6 +240,12 @@ std::vector<std::vector<LogEntry>> RunCascade(uint32_t num_shards,
 
   for (uint32_t n = 0; n < kNodes; ++n) {
     sim.ScheduleAt(n % num_shards, n, /*at=*/0, [=] { handle(n, n, 0, n); });
+  }
+  if (split != nullptr) {
+    split->executed = sim.Run(split->at);
+    split->unrun = scheduled.load() - sim.executed_count();
+    split->pending = sim.pending_count();
+    split->windows = sim.windows();
   }
   sim.Run();
   return logs;
@@ -254,6 +275,58 @@ TEST(SimParallelTest, PerDestinationOrderInvariantUnderWorkStealing) {
     ASSERT_EQ(sharded.size(), baseline.size());
     for (size_t d = 0; d < baseline.size(); ++d) {
       EXPECT_EQ(sharded[d], baseline[d]) << "dst " << d << " workers " << workers;
+    }
+  }
+}
+
+// A Run(horizon) can end with cross-shard mail still in an outbox: the last
+// window sent it past the horizon, and its destination only drains it in the
+// next window, which the resumed Run opens. The window barrier flips the
+// outbox side once per window, so splitting the cascade at successive
+// horizons leaves that mail on either side. Whichever side holds it, the
+// resumed Run must replay the single-Run order at every destination, lose no
+// event, and pending_count() must see the mail between the calls.
+TEST(SimParallelTest, ResumedRunDeliversMailLeftInEitherOutboxSide) {
+  const auto baseline = RunCascade(1);
+  size_t total = 0;
+  for (const auto& log : baseline) total += log.size();
+  std::set<uint64_t> sides_left;  // windows() % 2: the side the mail is on
+  // {shards, workers}; 0 workers is one per shard, 8 over 3 steals.
+  const std::pair<uint32_t, uint32_t> rows[] = {{2, 0}, {3, 0}, {4, 0}, {8, 3}};
+  for (const auto& [shards, workers] : rows) {
+    for (int k = 1; k <= 8; ++k) {
+      SplitRun split;
+      split.at = k * kLook + kLook / 2;  // between the cascade's time steps
+      const auto resumed = RunCascade(shards, workers, &split);
+      EXPECT_EQ(resumed, baseline) << shards << " shards, split " << k;
+      EXPECT_GT(split.executed, 0u);
+      EXPECT_LT(split.executed, total);
+      EXPECT_EQ(split.pending, split.unrun) << shards << " shards, split " << k;
+      sides_left.insert(split.windows % 2);
+    }
+  }
+  EXPECT_EQ(sides_left.size(), 2u) << "the splits never left mail on one side";
+
+  // A lookahead-bound ping-pong crosses shards on every bounce, so between
+  // the calls both queues are empty and the one pending event is mail: a
+  // resumed Run that misses it ends at once.
+  constexpr size_t kBounces = 10;
+  for (int k = 0; k < 4; ++k) {
+    ShardedSimulator sim(Config(2, 2));
+    std::vector<SimTime> times;  // appended by both shards, ordered by the chain
+    std::function<void()> bounce = [&] {
+      times.push_back(sim.Now());
+      if (times.size() >= kBounces) return;
+      const ShardId here = ShardedSimulator::current_shard();
+      sim.ScheduleAt(1 - here, /*src=*/here, sim.Now() + kLook, bounce);
+    };
+    sim.ScheduleAt(0, 0, 0, bounce);
+    sim.Run(k * kLook + kLook / 2);
+    EXPECT_EQ(sim.pending_count(), 1u) << "split " << k << ", windows " << sim.windows();
+    sim.Run();
+    ASSERT_EQ(times.size(), kBounces) << "split " << k;
+    for (size_t i = 0; i < kBounces; ++i) {
+      EXPECT_EQ(times[i], static_cast<SimTime>(i) * kLook) << "split " << k;
     }
   }
 }
