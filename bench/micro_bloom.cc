@@ -2,11 +2,8 @@
 // Locaware's routing checks, the per-update cost of delta gossip, and the
 // bytes one peer's filter set holds.
 #include <benchmark/benchmark.h>
-#include <malloc.h>
 
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -15,34 +12,11 @@
 #include "bloom/counting_bloom.h"
 #include "common/flat_map.h"
 #include "common/types.h"
-
-// --- heap accounting ---------------------------------------------------------
-// Bench-binary-wide operator new/delete overrides tracking live heap bytes
-// (the allocator's usable block sizes); BM_PeerFilterSetFootprint reports the
-// delta around building one peer's filters.
-namespace {
-thread_local int64_t g_live_bytes = 0;
-
-void CountFree(void* p) {
-  if (p == nullptr) return;
-  g_live_bytes -= static_cast<int64_t>(malloc_usable_size(p));
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (void* p = std::malloc(size)) {
-    g_live_bytes += static_cast<int64_t>(malloc_usable_size(p));
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { CountFree(p); }
-void operator delete(void* p, std::size_t) noexcept { CountFree(p); }
+#include "heap_count.h"
 
 namespace {
 
+using locaware::bench::HeapLiveBytes;
 using locaware::bloom::BloomFilter;
 using locaware::bloom::CountingBloomFilter;
 
@@ -111,12 +85,12 @@ void BM_PeerFilterSetFootprint(benchmark::State& state) {
   // carves the table from its shard arena, in a power-of-two chunk.
   int64_t bytes = 0;
   for (auto _ : state) {
-    const int64_t before = g_live_bytes;
+    const int64_t before = HeapLiveBytes();
     auto counting = std::make_unique<CountingBloomFilter>(1200, 4);
     auto advertised = std::make_unique<BloomFilter>(1200, 4);
     locaware::FlatMap<locaware::PeerId, BloomFilter> neighbors;
     for (locaware::PeerId nb = 0; nb < 3; ++nb) neighbors.try_emplace(nb, 1200, 4);
-    bytes = g_live_bytes - before;
+    bytes = HeapLiveBytes() - before;
     benchmark::DoNotOptimize(neighbors);
   }
   state.counters["bytes/peer"] = static_cast<double>(bytes);

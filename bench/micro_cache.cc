@@ -9,47 +9,20 @@
 // ~0 on the hot paths (the string/vector era paid several per insert).
 // BM_IndexFootprint weighs what an index holds per cached file.
 #include <benchmark/benchmark.h>
-#include <malloc.h>
 
 #include <cstddef>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "cache/response_index.h"
-
-// --- allocation accounting ---------------------------------------------------
-// Bench-binary-wide operator new/delete overrides with thread-local
-// counters: allocation calls, and live bytes as the allocator's usable block
-// sizes. Only deltas around measured regions are reported, so the benchmark
-// harness's own allocations outside the loop do not pollute the numbers.
-namespace {
-thread_local uint64_t g_alloc_count = 0;
-thread_local int64_t g_live_bytes = 0;
-
-void CountFree(void* p) {
-  if (p == nullptr) return;
-  g_live_bytes -= static_cast<int64_t>(malloc_usable_size(p));
-  std::free(p);
-}
-}  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_alloc_count;
-  if (void* p = std::malloc(size)) {
-    g_live_bytes += static_cast<int64_t>(malloc_usable_size(p));
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { CountFree(p); }
-void operator delete(void* p, std::size_t) noexcept { CountFree(p); }
+#include "heap_count.h"
 
 namespace {
 
 using locaware::FileId;
 using locaware::KeywordId;
+using locaware::bench::HeapAllocCount;
+using locaware::bench::HeapLiveBytes;
 using locaware::cache::EvictionPolicy;
 using locaware::cache::ProviderEntry;
 using locaware::cache::ResponseIndex;
@@ -77,7 +50,7 @@ Corpus MakeCorpus(size_t n) {
 /// Attaches the allocations-per-iteration counter for the measured region.
 void ReportAllocs(benchmark::State& state, uint64_t allocs_before) {
   state.counters["allocs/op"] = benchmark::Counter(
-      static_cast<double>(g_alloc_count - allocs_before),
+      static_cast<double>(HeapAllocCount() - allocs_before),
       benchmark::Counter::kAvgIterations);
 }
 
@@ -90,7 +63,7 @@ void BM_AddProviderWithEviction(benchmark::State& state) {
   ResponseIndex ri(cfg);
   size_t i = 0;
   locaware::sim::SimTime now = 0;
-  const uint64_t allocs_before = g_alloc_count;
+  const uint64_t allocs_before = HeapAllocCount();
   for (auto _ : state) {
     const size_t f = i++ & 1023;
     ri.AddProvider(corpus.files[f], corpus.keywords[f],
@@ -115,7 +88,7 @@ void BM_LookupByKeywords(benchmark::State& state) {
     ri.AddProvider(corpus.files[f], corpus.keywords[f], ProviderEntry{1, 0, 0}, 0);
   }
   size_t i = 0;
-  const uint64_t allocs_before = g_alloc_count;
+  const uint64_t allocs_before = HeapAllocCount();
   for (auto _ : state) {
     const size_t f = i++ % 50;
     const KeywordId query[2] = {corpus.keywords[f][0], corpus.keywords[f][2]};
@@ -136,7 +109,7 @@ void BM_LookupMiss(benchmark::State& state) {
     ri.AddProvider(corpus.files[f], corpus.keywords[f], ProviderEntry{1, 0, 0}, 0);
   }
   const std::vector<KeywordId> absent{90000};
-  const uint64_t allocs_before = g_alloc_count;
+  const uint64_t allocs_before = HeapAllocCount();
   for (auto _ : state) {
     auto hits = ri.LookupByKeywords(absent, 1);
     benchmark::DoNotOptimize(hits);
@@ -159,7 +132,7 @@ void BM_ProviderRefresh(benchmark::State& state) {
                    now++);
   }
   uint32_t p = 0;
-  const uint64_t allocs_before = g_alloc_count;
+  const uint64_t allocs_before = HeapAllocCount();
   for (auto _ : state) {
     ri.AddProvider(corpus.files[0], corpus.keywords[0],
                    ProviderEntry{p++ & 7, 0, 0}, now++);
@@ -204,7 +177,7 @@ void BM_SteadyStateChurn(benchmark::State& state) {
   }
   size_t i = 0;
   locaware::sim::SimTime now = 0;
-  const uint64_t allocs_before = g_alloc_count;
+  const uint64_t allocs_before = HeapAllocCount();
   for (auto _ : state) {
     const size_t f = i & 1023;
     // 3 parts insert/refresh churn to 1 part lookup, like a visited node
@@ -236,12 +209,12 @@ void BM_IndexFootprint(benchmark::State& state) {
   cfg.max_filenames = 50;
   int64_t bytes = 0;
   for (auto _ : state) {
-    const int64_t before = g_live_bytes;
+    const int64_t before = HeapLiveBytes();
     auto ri = std::make_unique<ResponseIndex>(cfg);
     for (size_t f = 0; f < files; ++f) {
       ri->AddProvider(corpus.files[f], corpus.keywords[f], ProviderEntry{1, 0, 0}, 0);
     }
-    bytes = g_live_bytes - before;
+    bytes = HeapLiveBytes() - before;
     benchmark::DoNotOptimize(ri);
   }
   state.counters["bytes/entry"] =

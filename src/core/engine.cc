@@ -145,26 +145,13 @@ Status Engine::Setup() {
           "would violate the conservative window");
     }
   }
-  // The maintenance a run needs decides the event budget below. A tick may
-  // be left out only where it provably does nothing: on a static overlay
-  // without index TTL, Flooding and Dicas have nothing to maintain, and
-  // Locaware only a Bloom delta to gossip after its counting filter changed.
-  // Churn (orphan re-probes), the DHT (stabilize, republish) and index
-  // expiry keep the periodic chain.
   uses_dht_ = config_.protocol == ProtocolKind::kDht;
   // kDht runs without any response index.
   const bool caches = config_.protocol != ProtocolKind::kFlooding && !uses_dht_;
   const bool is_locaware = config_.protocol == ProtocolKind::kLocaware;
-  if (config_.churn.enabled || uses_dht_ || (caches && config_.params.ri.entry_ttl > 0)) {
-    maintenance_ = Maintenance::kPeriodic;
-  } else if (is_locaware) {
-    maintenance_ = Maintenance::kOnDemand;
-    if (config_.params.maintenance_interval <= 0 ||
-        config_.params.maintenance_interval > std::numeric_limits<uint32_t>::max()) {
-      return Status::InvalidArgument(
-          "params.maintenance_interval must be in (0, 4294.967295] s");
-    }
-  }
+  // The DHT (stabilize, republish) and index expiry have work every
+  // interval; everything else a tick does waits for a change (step 7).
+  ticks_every_interval_ = uses_dht_ || (caches && config_.params.ri.entry_ttl > 0);
 
   sim::ShardedSimulatorConfig sim_cfg;
   sim_cfg.num_shards = num_shards_;
@@ -292,16 +279,16 @@ Status Engine::Setup() {
     }
   }
 
-  // 6c. Queue capacity for the in-flight working set, per shard: a periodic
-  // run's standing maintenance tick per peer, every churn transition the
-  // timeline queues up front, plus one event per peer and fixed headroom for
-  // the messages, deadlines, cleanups, armed ticks and arrival in flight
-  // (the DHT's first publish round, its peak, holds ~0.6 per peer at 5000
-  // peers). Reserved capacity stays address space until events use it, while
-  // outgrowing it relocates the whole slab and can strand the old one in the
-  // heap — so the budget errs large.
+  // 6c. Queue capacity for the in-flight working set, per shard: the
+  // standing tick per peer of a run that ticks every interval, every churn
+  // transition the timeline queues up front, plus one event per peer and
+  // fixed headroom for the messages, deadlines, cleanups, armed ticks and
+  // arrival in flight (the DHT's first publish round, its peak, holds ~0.6
+  // per peer at 5000 peers). Reserved capacity stays address space until
+  // events use it, while outgrowing it relocates the whole slab and can
+  // strand the old one in the heap — so the budget errs large.
   {
-    const size_t events_per_peer = maintenance_ == Maintenance::kPeriodic ? 2 : 1;
+    const size_t events_per_peer = ticks_every_interval_ ? 2 : 1;
     std::vector<size_t> budget(num_shards_, 1024);
     const sim::SimTime horizon = RunHorizon();
     for (PeerId p = 0; p < config_.num_peers; ++p) {
@@ -324,37 +311,27 @@ Status Engine::Setup() {
   // Grid point 0 is keyed by the controller source, every later tick by the
   // node itself, keeping the tick order shard-count-invariant.
   //
-  // kOnDemand queues a tick only at a grid point where the periodic chain's
-  // tick would find something to gossip (ArmMaintenance); at grid point 0 it
-  // takes the controller key the chain's first tick had. Every remaining
-  // tick runs at the same sim time against the same state. Dropping the idle
-  // ones only renumbers the peer's own later sequence numbers, and among
-  // same-instant events of one source a tick commutes with the rest: it
-  // reads and writes only its own peer's filters, and what it sends lands
-  // later.
-  if (maintenance_ != Maintenance::kNone) {
-    Rng stagger_rng = root_rng_.Split("maintenance");
-    // The controller keys the chain's first ticks took, in peer order.
-    if (maintenance_ == Maintenance::kOnDemand) {
-      tick_seq_base_ = sim_->ReserveSequence(/*src=*/0, config_.num_peers);
+  // A tick is queued only at a grid point where it has work
+  // (ArmMaintenance), so every tick that runs runs at the time and against
+  // the state a tick every interval would. Dropping the idle ones, offline
+  // peers' included, only renumbers the peer's own later sequence numbers,
+  // and among same-instant events of one source a tick commutes with the
+  // rest: it reads and writes only its own peer's state, and what it sends
+  // lands later. Static Flooding, Dicas and Dicas-Keys without TTL never
+  // tick and draw no offsets.
+  if (ticks_every_interval_ || is_locaware || config_.churn.enabled) {
+    const sim::SimTime interval = config_.params.maintenance_interval;
+    if (interval <= 0 || interval > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument(
+          "params.maintenance_interval must be in (0, 4294.967295] s");
     }
+    Rng stagger_rng = root_rng_.Split("maintenance");
+    // The controller keys of grid point 0, in peer order.
+    tick_seq_base_ = sim_->ReserveSequence(/*src=*/0, config_.num_peers);
     for (PeerId p = 0; p < config_.num_peers; ++p) {
-      const sim::SimTime offset = static_cast<sim::SimTime>(stagger_rng.UniformInt(
-          0, static_cast<uint64_t>(config_.params.maintenance_interval)));
-      if (maintenance_ == Maintenance::kOnDemand) {
-        nodes_[p].maintenance_offset = static_cast<uint32_t>(offset);
-        continue;
-      }
-      // Each queued tick is a plain [this, p] closure that reschedules
-      // itself (MaintenanceTick); the chain lives in the event queue alone,
-      // so ticks allocate nothing and leak nothing when the queue drains.
-      // The initial event schedules before working, matching the historic
-      // per-source sequence order.
-      sim_->ScheduleAt(shard_of(p), /*src=*/0, offset, [this, p] {
-        ScheduleFromNode(p, p, config_.params.maintenance_interval,
-                         [this, p] { MaintenanceTick(p); });
-        MaintenanceWork(p);
-      });
+      nodes_[p].maintenance_offset = static_cast<uint32_t>(
+          stagger_rng.UniformInt(0, static_cast<uint64_t>(interval)));
+      ArmMaintenance(p, /*cause=*/0);
     }
   }
   return Status::OK();
@@ -440,6 +417,12 @@ size_t Engine::routed_query_count() const {
   return total;
 }
 
+uint64_t Engine::orphan_reprobe_count() const {
+  uint64_t total = 0;
+  for (const ShardState& shard : shards_) total += shard.orphan_reprobes;
+  return total;
+}
+
 sim::SimTime Engine::OneWayDelay(PeerId a, PeerId b) const {
   return sim::FromMs(underlay_->RttMs(a, b) / 2.0);
 }
@@ -450,46 +433,49 @@ void Engine::ScheduleFromNode(PeerId src, PeerId dst, sim::SimTime delay,
   sim_->ScheduleAt(shard_of(dst), SourceOf(src), sim_->Now() + delay, std::move(fn));
 }
 
-void Engine::MaintenanceWork(PeerId p) {
-  if (!graph_->IsAlive(p)) return;
-  if (config_.protocol != ProtocolKind::kFlooding) {
-    protocol_->OnMaintenanceTick(*this, p);
-  }
-  if (uses_dht_) DhtMaintenance(p);
-  if (config_.churn.enabled && graph_->Degree(p) == 0) {
-    StartLinkProbes(p, 1);
-  }
-}
-
-void Engine::MaintenanceTick(PeerId p) {
-  MaintenanceWork(p);
-  ScheduleFromNode(p, p, config_.params.maintenance_interval,
-                   [this, p] { MaintenanceTick(p); });
-}
-
 void Engine::ArmMaintenance(PeerId p, sim::SourceId cause) {
   NodeState& n = node(p);
-  if (n.maintenance_armed || !n.keyword_filter->unsynced()) return;
-  LOCAWARE_CHECK_NE(cause, SourceOf(p)) << "a peer's own event changed its filter";
+  if (n.maintenance_armed) return;
+  const bool has_work = ticks_every_interval_ ||
+                        (n.keyword_filter != nullptr && n.keyword_filter->unsynced()) ||
+                        (config_.churn.enabled && graph_->Degree(p) == 0);
+  if (!has_work) return;
   n.maintenance_armed = true;
   const auto tick = [this, p] {
-    node(p).maintenance_armed = false;
-    MaintenanceWork(p);
+    NodeState& self = node(p);
+    self.maintenance_armed = false;
+    if (!graph_->IsAlive(p)) return;  // the rejoin arms again
+    // Ticking every interval takes grid point 0's successor key before the
+    // work and every later one's after it.
+    if (ticks_every_interval_ && Now() == self.maintenance_offset) {
+      ArmMaintenance(p, SourceOf(p));
+    }
+    if (config_.protocol != ProtocolKind::kFlooding) {
+      protocol_->OnMaintenanceTick(*this, p);
+    }
+    if (uses_dht_) DhtMaintenance(p);
+    if (config_.churn.enabled && graph_->Degree(p) == 0) {
+      ++shards_[shard_of(p)].orphan_reprobes;
+      StartLinkProbes(p, 1);
+    }
+    ArmMaintenance(p, SourceOf(p));
   };
+  // Grid point 0, or the latest grid point at or before now. If that is now
+  // itself, the tick there sees the cause's change only if keyed after it.
   const sim::SimTime interval = config_.params.maintenance_interval;
   const sim::SimTime first = n.maintenance_offset;
   const sim::SimTime now = sim_->Now();
-  if (now < first) {
-    sim_->ScheduleReserved(shard_of(p), /*src=*/0, tick_seq_base_ + p, first, tick);
-    return;
+  sim::SimTime at = first;
+  if (now >= first) {
+    at += (now - first) / interval * interval;
+    const bool keyed_after = at == first ? cause == 0 : cause < SourceOf(p);
+    if (at < now || !keyed_after) at += interval;
   }
-  // The latest grid point at or before now. If it is now itself, the chain's
-  // tick there ran after this event only if keyed after it: never at grid
-  // point 0 (the controller's key sorts ahead of every peer's event), and at
-  // later points only when the changing event's source sorts before p's.
-  sim::SimTime at = first + (now - first) / interval * interval;
-  if (at < now || at == first || cause > SourceOf(p)) at += interval;
-  ScheduleFromNode(p, p, at - now, tick);
+  if (at == first) {
+    sim_->ScheduleReserved(shard_of(p), /*src=*/0, tick_seq_base_ + p, first, tick);
+  } else {
+    ScheduleFromNode(p, p, at - now, tick);
+  }
 }
 
 void Engine::Run() {
@@ -728,7 +714,7 @@ void Engine::DeliverResponse(PeerId to, PeerId from, overlay::ResponseMessage ms
   // Every reverse-path peer (the requester included) may cache the passing
   // response, per the protocol's rule.
   protocol_->ObserveResponse(*this, to, msg);
-  if (maintenance_ == Maintenance::kOnDemand) ArmMaintenance(to, SourceOf(from));
+  ArmMaintenance(to, SourceOf(from));
 
   if (to == msg.origin) {
     ShardState& shard = shards_[shard_of(to)];
@@ -933,6 +919,7 @@ void Engine::HandleRejoin(PeerId p) {
   LOCAWARE_CHECK(!graph_->IsAlive(p)) << "rejoin of online peer " << p;
   CollectorAt(p).AddChurnEvent();
   graph_->GoOnline(p);  // fresh session epoch
+  ArmMaintenance(p, /*cause=*/0);
   StartLinkProbes(p, config_.churn.rejoin_links);
   // Rebuild routing tables immediately so the fresh session can route; its
   // keyword store refills via the next maintenance tick's republish
@@ -988,6 +975,7 @@ void Engine::DeliverLinkDrop(PeerId to, const overlay::LinkDropMessage& msg) {
   if (!graph_->RemoveHalfLink(to, msg.from, msg.epoch)) return;  // stale drop
   node(to).neighbor_degree.erase(msg.from);
   protocol_->OnPeerDeparted(*this, to, msg.from);
+  ArmMaintenance(to, SourceOf(msg.from));
   // Orphans re-attach to keep the overlay usable.
   if (graph_->Degree(to) == 0) StartLinkProbes(to, 1);
 }

@@ -6,12 +6,12 @@
 //
 // Run holds in-flight work, not standing per-peer state: arrivals stream,
 // reverse paths live in per-shard tables per query (core/query_routes.h)
-// until the query's cleanup, and maintenance ticks are queued only where a
-// tick can do something — every interval under churn, for the DHT or with an
-// index TTL; for static Locaware only once its counting filter changed
-// (ArmMaintenance); never for static Flooding, Dicas and Dicas-Keys. A tick
-// that does run keeps the time and key the periodic chain would give it, so
-// results are those of the chain.
+// until the query's cleanup, and a maintenance tick is queued only where it
+// can do something (ArmMaintenance): every interval while a DHT or index-TTL
+// peer is online; otherwise once a Locaware counting filter changed or,
+// under churn, while a peer is left without links. A tick falls on its
+// peer's grid point with the key a tick every interval would have there, so
+// results are those of ticking every peer every interval.
 //
 // Sharded execution: peers are partitioned across config.scheduler.shards
 // shards by a placement-defined partition (sim::ShardPlacement — modulo or
@@ -139,6 +139,9 @@ class Engine {
   /// Per-shard route tables of queries in flight (0 after Run(), like
   /// tracked_query_count()).
   size_t routed_query_count() const;
+  /// Maintenance ticks that found their peer without links and probed for
+  /// one. Reporting only, never in metric JSON.
+  uint64_t orphan_reprobe_count() const;
 
   /// One-way overlay-link delay between two peers (RTT/2).
   sim::SimTime OneWayDelay(PeerId a, PeerId b) const;
@@ -206,6 +209,8 @@ class Engine {
     /// CleanupShard.
     QueryRoutes routes;
     metrics::MetricsCollector metrics;
+    /// Ticks at the shard's peers that re-probed an orphan (reporting only).
+    uint64_t orphan_reprobes = 0;
   };
 
   Status Setup();
@@ -253,29 +258,19 @@ class Engine {
   overlay::RecordVec AnswerFromFileStore(PeerId node,
                                          const overlay::QueryMessage& query);
 
-  /// How a run schedules maintenance ticks (fixed at Setup from the config).
-  enum class Maintenance {
-    kNone,      ///< no tick would do anything: static Flooding, Dicas(-Keys), no TTL
-    kOnDemand,  ///< static Locaware without TTL: a tick only to gossip a change
-    kPeriodic,  ///< churn, DHT or index TTL: every peer ticks every interval
-  };
-
-  /// One peer's recurring maintenance tick (kPeriodic): runs the work, then
-  /// schedules the next tick as a plain (node-sourced) event. The chain needs
-  /// no self-referencing shared state — each queued event is one [this, p]
-  /// closure, so ticks never allocate.
-  void MaintenanceTick(PeerId p);
-  /// The tick's work: index expiry / Bloom gossip when the protocol caches,
-  /// orphan re-attachment under churn.
-  void MaintenanceWork(PeerId p);
-  /// kOnDemand: if `p`'s counting filter changed since its last gossip and
-  /// no tick is armed, arms one at the grid point where the periodic chain's
-  /// tick would first see the change. `cause` is the source of the event
-  /// executing at `p`: at a grid point equal to Now(), the chain's tick ran
-  /// before this event unless `cause` sorts before `p`'s own source. Called
-  /// after a passing response is cached, the one change a static run without
-  /// TTL makes to a filter (answering from the index only adds providers to
-  /// files already indexed).
+  /// The one way a maintenance tick is queued. If `p` has work and no tick
+  /// armed, arms one at p's grid point `offset_p + k * interval` where a
+  /// tick every interval would first see the work. A peer has work always
+  /// in a run that ticks every interval; otherwise while its counting filter
+  /// has a change to gossip, or under churn while it has no link (a tick
+  /// re-probes). `cause` is the source of the event executing at `p`: at a
+  /// grid point equal to Now(), the tick there ran before this event unless
+  /// keyed after it. At grid point 0 it holds the controller key reserved in
+  /// Setup, after the churn transitions and before every peer's event; later
+  /// it holds p's own source. A tick passes its own source and so arms the
+  /// next grid point. Called at Setup, by the tick, after a passing response
+  /// is cached, at a LinkDrop and at a rejoin: the events that can change a
+  /// filter or leave a peer without links.
   void ArmMaintenance(PeerId p, sim::SourceId cause);
 
   // --- churn lifecycle (shard-safe: owner events + routed repair links) ---
@@ -291,7 +286,7 @@ class Engine {
   /// PeerDown: drop own half-links, notify ex-neighbors via LinkDrop
   /// messages, clear session state.
   void HandleDeparture(PeerId p);
-  /// PeerUp: fresh session epoch, probe for rejoin links.
+  /// PeerUp: fresh session epoch, arm maintenance, probe for rejoin links.
   void HandleRejoin(PeerId p);
 
   /// Sends LinkProbe to up to `want` distinct online non-neighbors, drawn
@@ -359,10 +354,12 @@ class Engine {
   /// First of the controller sequence numbers Run reserves for arrivals:
   /// workload index i is keyed arrival_seq_base_ + i.
   uint64_t arrival_seq_base_ = 0;
-  Maintenance maintenance_ = Maintenance::kNone;
-  /// kOnDemand: first of the controller sequence numbers Setup reserves for
-  /// grid point 0, where peer p's tick is keyed tick_seq_base_ + p — the key
-  /// the periodic chain's controller-queued first tick has.
+  /// DHT and index-TTL runs: an online peer ticks every interval (stabilize,
+  /// republish, expiry). Other runs tick only on work (ArmMaintenance).
+  bool ticks_every_interval_ = false;
+  /// First of the controller sequence numbers Setup reserves for grid point
+  /// 0, where peer p's tick is keyed tick_seq_base_ + p: the key a tick
+  /// queued up front by the controller, in peer order, would have.
   uint64_t tick_seq_base_ = 0;
 
   /// One arena per shard. Declared before every arena-backed structure

@@ -23,9 +23,9 @@ struct NodeState {
   LocId loc_id = 0;   ///< landmark-ordering location id (§4.1.1)
   GroupId gid = 0;    ///< Dicas group id, uniform in [0, M) (§3.2)
   /// This peer's maintenance grid is maintenance_offset + k * interval
-  /// (4 bytes; set only where ticks are armed on demand, see Engine).
+  /// (4 bytes; set in every run that can tick, see Engine::ArmMaintenance).
   uint32_t maintenance_offset = 0;
-  /// A maintenance tick is queued for this peer (on-demand runs only).
+  /// A maintenance tick is queued for this peer.
   bool maintenance_armed = false;
 
   /// Files this peer shares: the initial 3 plus everything it downloads

@@ -4,7 +4,7 @@
 //   1. which neighbors receive a forwarded query        (ForwardTargets)
 //   2. who caches a passing response, and how           (ObserveResponse)
 //   3. how a node answers from its response index       (AnswerFromIndex)
-// plus periodic maintenance (Locaware's Bloom gossip) and link-lifecycle
+// plus maintenance ticks (Locaware's Bloom gossip) and link-lifecycle
 // hooks (filter exchange on new links).
 #pragma once
 
@@ -66,12 +66,12 @@ class Protocol {
   /// right after the forward fan-out was scheduled.
   virtual void OnQuerySubmitted(Engine& engine, const overlay::QueryMessage& query);
 
-  /// A maintenance tick at `node`: every interval under churn, for the DHT
-  /// or with an index TTL; on a static overlay without TTL only Locaware
-  /// ticks, once its counting filter changed. Base implementation expires
-  /// stale index entries (Dicas and Dicas-Keys under churn or TTL; the DHT
-  /// has no index); Locaware additionally syncs its Bloom filter and gossips
-  /// deltas.
+  /// A maintenance tick at `node`: every interval while it is online for
+  /// the DHT or with an index TTL; otherwise only once a Locaware counting
+  /// filter changed or, under churn, while the node has no link. Base
+  /// implementation expires stale index entries (Dicas and Dicas-Keys with
+  /// a TTL; the DHT has no index); Locaware additionally syncs its Bloom
+  /// filter and gossips deltas.
   virtual void OnMaintenanceTick(Engine& engine, PeerId node);
 
   /// Bloom-update delivery (Locaware only; default ignores).
